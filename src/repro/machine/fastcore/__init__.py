@@ -4,14 +4,14 @@ The object engines (:mod:`repro.machine.dataflow_engine`,
 :mod:`repro.machine.mimd_engine`) and the mapping pipeline
 (:mod:`repro.machine.placement`, :mod:`repro.machine.mapping`) walk
 per-instance Python objects; this package re-implements their inner
-loops as structure-of-arrays kernels over numpy:
+loops as structure-of-arrays kernels over numpy and as compiled plans:
 
 * :mod:`.dataflow_core` — the grid dataflow issue loop over flattened
   per-uid arrays with precomputed consumer routes and vectorized
   LUT/LDI address streams, cached on the mapped window;
 * :mod:`.mimd_core` — the MIMD per-record instruction loop compiled to
-  a max-plus (tropical) affine plan and evaluated per record as one
-  matrix step;
+  a sparse max-plus (tropical) affine plan per trip count, rebased at
+  every L1 round trip and evaluated per record in plain Python;
 * :mod:`.map_core` — template-cloned window expansion and array-scored
   iteration placement.
 
@@ -20,9 +20,7 @@ environment variable (``array`` | ``object``), overridable per process
 with :func:`set_engine_core` or scoped with :func:`using_core`.  The
 default is ``array``; the object loops remain the bit-exact reference
 oracle (``tests/machine/test_fastcore_equivalence.py`` pins equality),
-and anything the array path does not cover — a missing numpy, or a MIMD
-record whose live set takes the L1 round-trip paths — falls back to
-them automatically.
+and a process without numpy selects them automatically.
 """
 
 from __future__ import annotations

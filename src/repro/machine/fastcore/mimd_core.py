@@ -2,173 +2,175 @@
 
 For a fixed trip count, :meth:`MimdEngine._run_record`'s instruction
 loop is a chain of ``issue = max(pc, ready(operands)); pc = issue + 1``
-updates — a *max-plus (tropical) affine* function of the only inputs
-that vary per record: the node's start cycle, the program counter after
-the record-chunk loads, and the per-word load return times.  This
-module compiles that function once per (engine, trip count) into a
-plan matrix ``M`` over the basis
+updates — a *max-plus (tropical) affine* function of the few values
+that vary per record.  This module compiles that function once per
+(engine, trip count) into an :class:`AffinePlan` over the basis
 
-    x = [start, pc_after_chunks, word_ready[0], ..., word_ready[R-1]]
+    x = [start, pc_after_chunks, word_ready[0], ..., word_ready[R-1],
+         D_0, P_0, D_1, P_1, ...]
 
-so that ``max(M[i] + x)`` per row yields the post-loop program counter
-and every store's issue cycle.  The rows are stored sparsely — only
-the reachable (non-sentinel) columns — and evaluated as plain Python
-max-of-sums over a list basis: at these row widths that beats a dense
-numpy broadcast per record and keeps the per-record path free of array
-round trips.  The chunk-load phase stays concrete (it reserves SMC
-ports / L1 banks statefully, and is the ``mimd_memory`` phase), as do
-the store-buffer pushes.
+Each plan row is a sparse ``{basis column: addend}`` map, built that
+way from the start and merged by per-column max; a record evaluates a
+row as ``max(x[c] + v)`` over its terms, in plain Python.  The chunk
+loads stay concrete (they reserve SMC ports / L1 banks statefully, and
+are the ``mimd_memory`` phase), as do the store-buffer pushes.
 
-Live instructions that take an L1 round trip mid-loop (LDI, and LUT
-without an L0 data store) are not affine in the basis above — the L1
+**Staged L1 ops.**  Live instructions that take an L1 round trip
+mid-loop (LDI, and LUT without an L0 data store) are not affine — the
 reply depends on stateful bank ports and tags — but their *addresses*
-are pure functions of ``(record_index, iid)``, so the loop is affine
-*between* them: the plan gains one basis column per L1 op holding its
-(concrete) data-return time, plus a per-op issue row evaluated
-stage-by-stage.  Each stage resolves the op's issue cycle from the
-basis filled so far, performs the real ``l1_access`` — same address,
-same arrival cycle, hence identical hit/miss/eviction and port-grant
-state as the object loop — and writes the return time into the basis.
-The instruction-loop stall total still telescopes (each op's stall
-terms sum to its pc advance minus one), so the stats stay plan
-constants plus the final pc.  Numerics: cycle times are half-integer
-multiples well below 2**52, so Python int/float arithmetic on them is
-exact (as was the float64 evaluation this replaces), and the ``NEG``
-sentinel rows are filtered out at plan-build time instead of being
-carried through every max.
+are pure functions of ``(record_index, iid)``.  L1 op ``j`` therefore
+gets an issue row, evaluated in program order from the basis filled so
+far, and two basis columns filled during evaluation: its data return
+``D_j``, from the real ``l1_access`` (same address and arrival cycle
+as the object loop, hence identical tag and port state), and the pc
+after the blocking load, ``P_j = max(issue_j + 1, D_j)``.  The plan's
+symbolic pc then *rebases*: it restarts as the single term ``P_j``
+instead of carrying every column that reached it.
+
+**Pruning.**  The object loop fixes these orderings between basis
+values, whatever the memory system returns:
+
+* ``x[0] <= x[1]`` — the pc only moves forward through the chunk loads;
+* every word column ``<= x[1]`` — a chunk's pc waits for its last word;
+* ``x[1] <= P_0 <= P_1 <= ...`` — each ``P_j`` is a later pc;
+* ``D_j <= P_j`` — the blocking load waits for its data.
+
+So ``x[1], P_0, P_1, ...`` form a totally ordered *chain*, and every
+other column lies below a known chain column.  At every merge a term
+``(c, v)`` is dropped when a chain column known to be ``>= x[c]``
+carries an addend ``>= v``: that chain term is at least as large for
+every basis the object loop can produce, so the row's max — and the
+simulated timing — cannot change.  The pruning is exact, and with the
+rebase it leaves most rows a term or two wide.
+
+The instruction-loop stall total telescopes (each op's stall terms sum
+to its pc advance minus one), so the stats stay plan constants plus the
+final pc.  Cycle times are Python ints, so evaluation is exact.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...perf.phases import PHASES, perf_counter
-
-#: "Minus infinity" of the max-plus algebra.  Exact in float64, and far
-#: below any reachable cycle count even after per-instruction +1 steps.
-NEG = -(1 << 62)
-
-_UNBUILT = object()
 
 
 class AffinePlan:
     """One compiled per-record timing function (fixed trip count)."""
 
     __slots__ = (
-        "matrix", "n_meta", "skipped", "slots", "pc_extra", "width",
-        "l1_rows", "l1_meta", "lut_trips", "l1_sparse", "matrix_sparse",
+        "n_meta", "skipped", "slots", "pc_extra", "l1_rows", "l1_meta",
+        "out_rows", "lut_trips",
     )
 
-    def __init__(self, matrix, n_meta, skipped, slots, pc_extra,
-                 l1_rows, l1_meta, lut_trips):
-        self.matrix = matrix          # rows: pc_after_meta, pc_final, pushes
+    def __init__(self, n_meta, skipped, slots, pc_extra, l1_rows, l1_meta,
+                 out_rows, lut_trips):
         self.n_meta = n_meta
         self.skipped = skipped
-        self.slots = slots            # output slot per push row, in order
+        self.slots = slots            # output slot per store row, in order
         self.pc_extra = pc_extra      # loop-control addend (plan constant)
-        self.width = matrix.shape[1]
-        #: per-L1-op issue rows (stage evaluation order) and address
-        #: recipes ``(base, mult, add, mem_len)``: the op's address is
+        #: per-L1-op issue rows (evaluation order) and address recipes
+        #: ``(base, mult, add, mem_len)``: the op's address is
         #: ``base + (record_index * mult + add) % mem_len``.
         self.l1_rows = l1_rows
         self.l1_meta = l1_meta
+        #: pc after the instruction loop, pc after the stores, then one
+        #: issue row per store; every row is ``((column, addend), ...)``.
+        self.out_rows = out_rows
         self.lut_trips = lut_trips    # live LUT L1 trips per record
-        # Sparse twins of l1_rows / matrix for the per-record hot path:
-        # each row as [(basis column, addend), ...] over non-NEG entries
-        # (every row has at least one — col 0 or col 1 is always live).
-        # Evaluated in plain Python, which beats a dense numpy add+max
-        # at these row widths and skips the per-record array round trip.
-        self.l1_sparse = _sparse_rows(l1_rows)
-        self.matrix_sparse = _sparse_rows(matrix)
 
 
-def _sparse_rows(rows):
-    """``[(col, int addend), ...]`` per row, near-NEG entries dropped.
+def _chain_key(base_col):
+    """Sort key of a basis column against the chain.
 
-    ``issue + latency`` steps leave some sentinels at ``NEG + k`` rather
-    than ``NEG`` exactly, so filter by magnitude: anything below
-    ``NEG / 2`` is unreachable (basis values are nonnegative cycle
-    counts far below 2**52) and cannot bind in the max.
+    Chain columns get odd keys in chain order — ``x[1]`` 1, ``P_j``
+    ``2j + 3`` — and every other column the even key just below the
+    lowest chain column known to be at or above it: ``x[0]`` and the
+    words 0, ``D_j`` ``2j + 2``.  So the chain terms that may dominate
+    a term are exactly those of a larger key.
     """
-    if rows is None:
-        return None
-    cutoff = NEG / 2
-    return [
-        [(col, int(value)) for col, value in enumerate(row) if value > cutoff]
-        for row in rows.tolist()
-    ]
+    def key(col):
+        if col >= base_col:
+            return col - base_col + 2
+        return 1 if col == 1 else 0
+    return key
 
 
-def _as_count(value):
-    """Exact scalar out of the float64 evaluation (int when integral)."""
-    value = float(value)
-    integral = int(value)
-    return integral if integral == value else value
+def _prune(row, key):
+    """``row`` without the terms a chain term of ``row`` dominates."""
+    kept = {}
+    best = None  # largest chain addend at a larger key than the current
+    for col in sorted(row, key=key, reverse=True):
+        addend = row[col]
+        if best is None or addend > best:
+            kept[col] = addend
+            if key(col) & 1:
+                best = addend
+    return kept
+
+
+def _raise(row, other):
+    """Merge ``other`` into ``row`` by per-column max."""
+    for col, addend in other.items():
+        if col not in row or addend > row[col]:
+            row[col] = addend
+
+
+def _shift(row, delta):
+    return {col: addend + delta for col, addend in row.items()}
 
 
 def build_plan(engine, trips):
-    """Compile the record loop for one trip count (staged when L1 ops
-    are live; ``None`` is no longer returned — every record is covered)."""
+    """Compile the record loop for one trip count."""
     meta, skipped, live_luts, outs = engine._live_meta(trips)
-    l0_data = engine.config.l0_data
-
     kernel = engine.kernel
-    n_l1 = sum(
-        1 for m in meta if m[1] == 2 or (m[1] == 1 and not l0_data)
-    )
-    base_col = 2 + kernel.record_in
-    width = base_col + n_l1
+    l0_data = engine.config.l0_data
     l0_latency = engine.params.l0_data_latency
-    maximum = np.maximum
+    base_col = 2 + kernel.record_in
+    key = _chain_key(base_col)
 
-    # ready_at rows: never-executed producers read as ``start`` (basis
-    # index 0), matching the reference's ``ready_at.get(p, start)``.
-    ready = np.full((len(kernel.body), width), NEG, dtype=np.int64)
-    ready[:, 0] = 0
-    pc = np.full(width, NEG, dtype=np.int64)
-    pc[1] = 0  # pc starts at pc_after_chunks
-
-    l1_issue_rows = []
+    # Never-executed producers read as ``start`` (basis column 0),
+    # matching the reference's ``ready_at.get(p, start)``.
+    at_start = {0: 0}
+    ready = {}
+    pc = {1: 0}  # pc starts at pc_after_chunks
+    l1_rows = []
     l1_meta = []
     for iid, kind, producers, word_deps, latency, base, mem_len in meta:
         # The object loop's literal 0 floor on operands_ready never
         # binds: pc >= start >= 1 (setup is at least one cycle).
-        issue = pc
+        issue = dict(pc)
         for p in producers:
-            issue = maximum(issue, ready[p])
-        if word_deps:
-            deps = np.full(width, NEG, dtype=np.int64)
-            for w in word_deps:
-                deps[2 + w] = 0
-            issue = maximum(issue, deps)
+            _raise(issue, ready.get(p, at_start))
+        for w in word_deps:
+            _raise(issue, {2 + w: 0})
+        issue = _prune(issue, key)
         if kind == 0:
-            ready[iid] = issue + latency
-            pc = issue + 1
+            ready[iid] = _shift(issue, latency)
+            pc = _shift(issue, 1)
         elif kind == 1 and l0_data:
-            ready[iid] = issue + l0_latency
-            pc = issue + 1
+            ready[iid] = _shift(issue, l0_latency)
+            pc = _shift(issue, 1)
         else:
-            # L1 round trip: a new basis column holds the concrete
-            # data-return time filled in stage-by-stage at evaluation;
-            # ``pc = max(issue + 1, done)`` mirrors the object loop's
-            # blocking-load jump.
-            col = base_col + len(l1_issue_rows)
-            l1_issue_rows.append(issue)
+            # L1 round trip: rebase on the two columns the evaluation
+            # fills in, D_j (data return) and P_j (pc after the load).
+            done = base_col + 2 * len(l1_rows)
+            l1_rows.append(tuple(issue.items()))
             if kind == 1:
                 l1_meta.append((base, 31, iid, mem_len))
             else:
                 l1_meta.append((base, 97, iid * 13, mem_len))
-            done = np.full(width, NEG, dtype=np.int64)
-            done[col] = 0
-            ready[iid] = done
-            pc = maximum(issue + 1, done)
+            ready[iid] = {done: 0}
+            pc = {done + 1: 0}
 
-    rows = [pc]  # row 0: pc after the instruction loop
-    for slot, producer in outs:
-        issue = pc if producer < 0 else maximum(pc, ready[producer])
-        pc = issue + 1
+    rows = [pc]  # pc after the instruction loop
+    for _slot, producer in outs:
+        issue = pc
+        if producer >= 0:
+            issue = dict(pc)
+            _raise(issue, ready.get(producer, at_start))
+            issue = _prune(issue, key)
         rows.append(issue)  # store issue; +edge happens at evaluation
-    rows.insert(1, pc)  # row 1: pc after the stores
+        pc = _shift(issue, 1)
+    rows.insert(1, pc)  # pc after the stores
 
     loop = kernel.loop
     static = loop.static_trips or 1
@@ -179,14 +181,13 @@ def build_plan(engine, trips):
     else:
         pc_extra = 0
     return AffinePlan(
-        matrix=np.stack(rows).astype(np.float64),
         n_meta=len(meta),
         skipped=skipped,
         slots=[slot for slot, _producer in outs],
         pc_extra=pc_extra,
-        l1_rows=(np.stack(l1_issue_rows).astype(np.float64)
-                 if l1_issue_rows else None),
+        l1_rows=l1_rows,
         l1_meta=l1_meta,
+        out_rows=[tuple(row.items()) for row in rows],
         lut_trips=0 if l0_data else live_luts,
     )
 
@@ -194,31 +195,26 @@ def build_plan(engine, trips):
 def run_record(engine, node, start, record, record_index):
     """Array-core replacement for one ``_run_record`` call.
 
-    Returns ``(next_free_cycle, None)`` exactly like the object loop,
-    or ``None`` when this record's trip count has no affine plan (the
-    caller then falls back).  The chunk-load phase below is the same
-    stateful sequence of memory calls the object loop makes, credited
-    to the same ``mimd_memory`` phase.
+    Returns ``(next_free_cycle, None)`` exactly like the object loop.
+    The chunk-load phase below is the same stateful sequence of memory
+    calls the object loop makes, credited to the same ``mimd_memory``
+    phase.
     """
     kernel = engine.kernel
     trips = kernel.trip_count(record)
     plans = engine.__dict__.setdefault("_fastcore_plans", {})
-    plan = plans.get(trips, _UNBUILT)
-    if plan is _UNBUILT:
-        plan = build_plan(engine, trips)
-        plans[trips] = plan
+    plan = plans.get(trips)
     if plan is None:
-        return None
+        plan = plans[trips] = build_plan(engine, trips)
 
     params = engine.params
     memory = engine.memory
     row = node // params.cols
     edge = params.route_to_row_edge(node)
 
-    # The basis lives as a plain Python list: cycle times are exact as
-    # Python ints / half-integer floats, and the sparse row evaluation
-    # below never touches numpy on the per-record path.
-    x = [0] * plan.width
+    # The basis: start, pc after the chunks, the words; each staged L1
+    # op appends its D_j and P_j.
+    x = [0] * (2 + kernel.record_in)
     x[0] = start
 
     phases = PHASES.enabled
@@ -252,29 +248,28 @@ def run_record(engine, node, start, record, record_index):
     x[1] = pc_time
 
     if plan.l1_meta:
-        # Staged L1 round trips: resolve each op's issue cycle from the
-        # basis filled so far (later ops' columns are dropped from the
-        # sparse row, so they cannot bind), make the real access — same
-        # address and arrival cycle as the object loop, hence identical
-        # bank/port state — and feed the return time back into the
-        # basis.  Charged to the engine phase, like the object loop.
+        # Staged L1 round trips, charged to the engine phase like the
+        # object loop's: resolve each op's issue cycle from the basis
+        # filled so far, make the real access, and append D_j and P_j.
         l1_access = memory.l1_access
-        l1_sparse = plan.l1_sparse
-        col = plan.width - len(plan.l1_meta)
-        for j, (base, mult, add, mem_len) in enumerate(plan.l1_meta):
-            issue = int(max(x[c] + v for c, v in l1_sparse[j]))
+        append = x.append
+        for terms, (base, mult, add, mem_len) in zip(plan.l1_rows,
+                                                     plan.l1_meta):
+            issue = max([x[c] + v for c, v in terms])
             address = base + (record_index * mult + add) % mem_len
-            x[col + j] = l1_access(address, issue + edge) + edge
+            done = l1_access(address, issue + edge) + edge
+            append(done)
+            append(done if done > issue + 1 else issue + 1)
 
-    vals = [max(x[c] + v for c, v in pairs) for pairs in plan.matrix_sparse]
+    vals = [max([x[c] + v for c, v in terms]) for terms in plan.out_rows]
     # Instruction-loop stalls telescope: sum(issue - pc) over the loop
     # is the final pc minus the entry pc minus one step per instruction.
-    load_stalls += _as_count(vals[0] - pc_time - plan.n_meta)
+    load_stalls += vals[0] - pc_time - plan.n_meta
 
     out_base = (1 << 26) + record_index * kernel.record_out
     if plan.slots:
         pushes = [
-            (out_base + slot, _as_count(vals[2 + k] + edge))
+            (out_base + slot, vals[2 + k] + edge)
             for k, slot in enumerate(plan.slots)
         ]
         if phases:
@@ -288,4 +283,4 @@ def run_record(engine, node, start, record, record_index):
     stats.instructions_executed += plan.n_meta
     stats.instructions_skipped += plan.skipped
     stats.lut_l1_trips += plan.lut_trips
-    return _as_count(vals[1]) + plan.pc_extra, None
+    return vals[1] + plan.pc_extra, None

@@ -46,14 +46,9 @@ from ..obs.metrics import METRICS
 from ..obs.trace import CTL, EXEC, TRACE
 from ..perf.phases import PHASES, perf_counter
 from .config import MachineConfig
-from .fastcore import active_core
+from .fastcore import active_core, mimd_core
 from .params import MachineParams
 from .stats import RunResult
-
-try:
-    from .fastcore import mimd_core as _mimd_core
-except ImportError:  # numpy unavailable: the object core stands alone
-    _mimd_core = None
 
 Number = Union[int, float]
 
@@ -227,25 +222,22 @@ class MimdEngine:
 
         Returns ``(next_free_cycle, outputs)`` where outputs is None in
         timing-only mode.  Functional runs take the straightforward
-        reference loop (which also computes values); timing-only runs
-        take an optimized loop over the precomputed instruction
-        metadata: a whole LMW chunk's SMC-port and channel reservations
-        issue in one batched memory call, and the record's stores flush
-        through the row store buffer in one batched push.  Both paths
-        produce identical cycle times and stats.
+        reference loop (which also computes values).  Timing-only runs
+        take the max-plus plan of :mod:`repro.machine.fastcore.mimd_core`
+        under the array core, and otherwise an optimized loop over the
+        precomputed instruction metadata: a whole LMW chunk's SMC-port
+        and channel reservations issue in one batched memory call, and
+        the record's stores flush through the row store buffer in one
+        batched push.  All paths produce identical cycle times and stats.
         """
         if self.functional:
             return self._run_record_reference(node, start, record,
                                               record_index)
-        if _mimd_core is not None and active_core() == "array":
-            # Max-plus affine core (repro.machine.fastcore): covered
-            # records evaluate as one matrix step; uncovered trip
-            # counts (live L1 round trips) fall through to the object
-            # loop below.
-            timed = _mimd_core.run_record(self, node, start, record,
-                                          record_index)
-            if timed is not None:
-                return timed
+        if active_core() == "array":
+            # Max-plus affine core: every record, L1 round trips
+            # included, evaluates through its trip count's plan.
+            return mimd_core.run_record(self, node, start, record,
+                                        record_index)
 
         params = self.params
         memory = self.memory

@@ -7,8 +7,10 @@ as the executable specification; these tests pin the two cores to
 bit-exact equality — identical mapped windows, ``WindowTiming``,
 ``EngineStats``, traces and ``RunResult`` documents — across the pinned
 fuzz corpus and every paper kernel, and exercise the automatic
-fallback paths (uncovered MIMD records, missing numpy).
+fallback to the object engines when numpy is missing.
 """
+
+import random
 
 import numpy
 import pytest
@@ -19,7 +21,7 @@ from repro.kernels.registry import all_specs
 from repro.machine import DataflowEngine, GridProcessor, MachineConfig, \
     MachineParams, MimdEngine, map_window
 from repro.machine import fastcore
-from repro.machine.fastcore import active_core, using_core
+from repro.machine.fastcore import active_core, mimd_core, using_core
 from repro.machine.placement import place_iterations, \
     place_iterations_reference
 from repro.machine.window_cache import MappedWindowCache
@@ -321,6 +323,8 @@ class TestMimdCoreEquivalence:
     @pytest.mark.parametrize("name,cfg", [
         ("rijndael", "M"),            # LUTs without an L0 data store
         ("anisotropic-filter", "M-D"),  # LDI: live L1 round trips
+        ("blowfish", "M"),            # LUT chains, each a rebase
+        ("vertex-skinning", "M"),     # all four variable trip counts
     ])
     def test_l1_round_trip_records_use_staged_plans(self, name, cfg):
         """Records whose live set takes the L1 round-trip paths compile
@@ -331,13 +335,66 @@ class TestMimdCoreEquivalence:
         records = spec(name).workload(8, 3)
         fast, r_fast, reference, r_ref = mimd_pair(name, config, records)
         plans = fast.__dict__.get("_fastcore_plans", {})
-        assert plans, "array core never consulted"
-        assert all(plan is not None for plan in plans.values())
-        assert any(plan.l1_meta for plan in plans.values())
+        kernel = fast.kernel
+        assert set(plans) == {kernel.trip_count(r) for r in records}
+        if name == "vertex-skinning":
+            assert len(plans) == kernel.loop.max_trips == 4
+        assert all(plan.l1_meta for plan in plans.values())
         assert r_fast == r_ref
         assert fast.stats == reference.stats
         assert (fast.memory.metrics_snapshot()
                 == reference.memory.metrics_snapshot())
+
+    @staticmethod
+    def _plan(name, config):
+        params = MachineParams()
+        engine = MimdEngine(spec(name).kernel(), config, params,
+                            MemorySystem(params.rows, params.memory_timings()))
+        record = spec(name).workload(1, 0)[0]
+        return mimd_core.build_plan(engine, engine.kernel.trip_count(record))
+
+    def test_plans_keep_only_terms_that_can_bind(self):
+        """Rebasing at every L1 op and pruning chain-dominated terms
+        keep plan rows narrow: every dct|M output row is one term (the
+        pc after the chunk loads dominates each word column), and
+        rijndael|M's staged LUT rows average at most four per op."""
+        dct = self._plan("dct", MachineConfig.M())
+        assert len(dct.out_rows) == 2 + len(dct.slots)
+        assert all(len(row) == 1 for row in dct.out_rows)
+        rijndael = self._plan("rijndael", MachineConfig.M())
+        assert len(rijndael.l1_rows) == len(rijndael.l1_meta) > 0
+        terms = sum(len(row) for row in rijndael.l1_rows)
+        assert terms <= 4 * len(rijndael.l1_rows)
+
+    def test_pruning_is_exact_under_the_stated_orderings(self):
+        """Pruning may lean only on the orderings the ``mimd_core``
+        docstring states — ``x[0] <= x[1]``, words ``<= x[1]``,
+        ``x[1] <= P_0 <= P_1 <= ...``, ``D_j <= P_j`` — so every row
+        keeps its max on random bases satisfying just those.  (Real
+        memory timings leave wide gaps along the chain, which the
+        record-level tests above cannot tell from an over-eager rule.)"""
+        rng = random.Random(13)
+        n_words, n_l1 = 3, 4
+        base_col = 2 + n_words
+        width = base_col + 2 * n_l1
+        key = mimd_core._chain_key(base_col)
+        dropped = 0
+        for _ in range(3000):
+            x1 = rng.randint(0, 6)
+            x = [rng.randint(0, x1), x1]
+            x += [rng.randint(0, x1) for _ in range(n_words)]
+            pc = x1
+            for _ in range(n_l1):
+                pc += rng.randint(0, 2)
+                x += [rng.randint(0, pc), pc]  # D_j, P_j
+            row = {rng.randrange(width): rng.randint(0, 6)
+                   for _ in range(rng.randint(1, 8))}
+            kept = mimd_core._prune(row, key)
+            assert kept.items() <= row.items()
+            assert (max(x[c] + v for c, v in kept.items())
+                    == max(x[c] + v for c, v in row.items()))
+            dropped += len(row) - len(kept)
+        assert dropped > 0
 
 
 class TestProcessorEquivalence:
