@@ -5,8 +5,9 @@ Four subcommands, all exiting non-zero when something is wrong:
 * ``run`` — simulate paper kernels across machine configurations with
   the invariant sanitizer armed; report any violations.
 * ``fuzz`` — differential fuzzing over random kernels (evaluator vs
-  both engines vs all configurations), shrinking failures to minimal
-  reproducers, optionally persisted to a corpus directory; with
+  the array core vs the object loop, over all configurations),
+  shrinking failures to minimal reproducers, optionally persisted to
+  a corpus directory; with
   ``--cross-backend`` each case instead runs across every registered
   simulation backend (grid, simd, vector, superscalar, stream).
 * ``replay`` — re-check every corpus reproducer (regression replay).
@@ -62,11 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from ..machine.fastcore import set_engine_core
     from .fuzz import check_case, check_case_backends, run_fuzz
-
-    if args.engine_core is not None:
-        set_engine_core(args.engine_core)
 
     def progress(done, failing):
         if args.verbose:
@@ -168,11 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="differential mode across every registered "
                            "simulation backend instead of the grid "
                            "engine pair")
-    fuzz.add_argument("--engine-core", default=None,
-                      choices=["array", "object"],
-                      help="engine-core selection for the fuzzed engines "
-                           "(repro.machine.fastcore); 'array' targets "
-                           "the numpy fast paths directly")
     fuzz.add_argument("--verbose", action="store_true",
                       help="progress line per case")
     fuzz.set_defaults(fn=_cmd_fuzz)

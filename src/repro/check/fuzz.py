@@ -9,10 +9,11 @@ path no paper kernel reaches at the default depth of 16 — is exercised
 on ordinary fuzz workloads:
 
 * the functional evaluator (the semantics oracle);
-* the optimized vs reference dataflow engine over every block-style
-  configuration (baseline, S, S-O, S-O-D) — timings, stats bit-identical;
-* the optimized vs reference MIMD record loop (M, M-D) where the kernel
-  fits, plus MIMD functional output vs the oracle;
+* the array core vs the object loop of the dataflow engine over every
+  block-style configuration (baseline, S, S-O, S-O-D), each mapping its
+  own window with its own placement — timings, stats bit-identical;
+* the array core vs the object loop of the MIMD record timing (M, M-D)
+  where the kernel fits, plus MIMD functional output vs the oracle;
 * a :class:`~repro.perf.cache.RunCache` round trip of the result.
 
 :func:`check_case_backends` is the cross-backend differential mode: the
@@ -163,6 +164,7 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     from ..isa.evaluate import evaluate_stream
     from ..machine.config import MachineConfig
     from ..machine.dataflow_engine import DataflowEngine
+    from ..machine.fastcore import using_core
     from ..machine.mapping import map_window
     from ..machine.mimd_engine import MimdEngine
     from ..machine.processor import GridProcessor
@@ -195,14 +197,15 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
         for config in block_configs:
             stage = f"dataflow:{config.name}"
             try:
-                fast = DataflowEngine(
-                    map_window(kernel, config, params, iterations=iterations),
-                    fresh_memory(config), seed=1)
-                reference = DataflowEngine(
-                    map_window(kernel, config, params, iterations=iterations),
-                    fresh_memory(config), seed=1)
-                t_fast = fast.run()
-                t_ref = reference.run_reference()
+                timings = []
+                for core in ("array", "object"):
+                    with using_core(core):
+                        engine = DataflowEngine(
+                            map_window(kernel, config, params,
+                                       iterations=iterations),
+                            fresh_memory(config), seed=1)
+                        timings.append((engine, engine.run()))
+                (fast, t_fast), (reference, t_ref) = timings
             except Exception as exc:
                 return fail(stage, f"crash: {exc!r}")
             if t_fast != t_ref:
@@ -216,13 +219,13 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
                 continue
             stage = f"mimd:{config.name}"
             try:
-                fast = MimdEngine(kernel, config, params,
-                                  fresh_memory(config))
-                reference = MimdEngine(kernel, config, params,
-                                       fresh_memory(config))
-                reference._run_record = reference._run_record_reference
-                r_fast = fast.run(records)
-                r_ref = reference.run(records)
+                runs = []
+                for core in ("array", "object"):
+                    with using_core(core):
+                        engine = MimdEngine(kernel, config, params,
+                                            fresh_memory(config))
+                        runs.append((engine, engine.run(records)))
+                (fast, r_fast), (reference, r_ref) = runs
             except Exception as exc:
                 return fail(stage, f"crash: {exc!r}")
             if r_fast != r_ref or fast.stats != reference.stats:

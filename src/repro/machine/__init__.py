@@ -12,7 +12,6 @@ from .placement import (
     Placement,
     max_unroll,
     place_iterations,
-    place_iterations_reference,
     region_width,
 )
 from .mapping import (
@@ -43,7 +42,6 @@ __all__ = [
     "Placement",
     "max_unroll",
     "place_iterations",
-    "place_iterations_reference",
     "region_width",
     "MappedWindow",
     "map_window",

@@ -1,41 +1,36 @@
 """Batch-stepped array cores for the simulator's hot loops.
 
-The object engines (:mod:`repro.machine.dataflow_engine`,
-:mod:`repro.machine.mimd_engine`) and the mapping pipeline
-(:mod:`repro.machine.placement`, :mod:`repro.machine.mapping`) walk
-per-instance Python objects; this package re-implements their inner
-loops as structure-of-arrays kernels over numpy and as compiled plans:
+Each hot path of the simulator has exactly two implementations: an
+object loop over per-instance Python records, which is the executable
+specification, and an array core in this package, which is the fast
+path:
 
 * :mod:`.dataflow_core` — the grid dataflow issue loop over flattened
-  per-uid arrays with precomputed consumer routes and vectorized
-  LUT/LDI address streams, cached on the mapped window;
+  per-uid numpy arrays with precomputed consumer routes and vectorized
+  LUT/LDI address streams, cached on the mapped window (object loop:
+  :meth:`repro.machine.dataflow_engine.DataflowEngine.run`);
 * :mod:`.mimd_core` — the MIMD per-record instruction loop compiled to
   a sparse max-plus (tropical) affine plan per trip count, rebased at
-  every L1 round trip and evaluated per record in plain Python;
-* :mod:`.map_core` — template-cloned window expansion and array-scored
-  iteration placement.
+  every L1 round trip and evaluated per record in plain Python (object
+  loop: :meth:`repro.machine.mimd_engine.MimdEngine._run_record`);
+* :mod:`.map_core` — template-cloned window expansion and array-scored,
+  memoized iteration placement (object loops:
+  :func:`repro.machine.mapping.map_window`,
+  :func:`repro.machine.placement.place_iterations`).
 
-Selection runs through :func:`active_core`: the ``REPRO_ENGINE_CORE``
-environment variable (``array`` | ``object``), overridable per process
-with :func:`set_engine_core` or scoped with :func:`using_core`.  The
-default is ``array``; the object loops remain the bit-exact reference
-oracle (``tests/machine/test_fastcore_equivalence.py`` pins equality),
-and a process without numpy selects them automatically.
+Each public entry point branches once on :func:`active_core`: the
+``REPRO_ENGINE_CORE`` environment variable (``array`` | ``object``),
+overridable per process with :func:`set_engine_core` or scoped with
+:func:`using_core`.  The default is ``array``; ``object`` runs the
+specification loops, and ``tests/machine/test_fastcore_equivalence.py``
+pins the two to bit-exact equality.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
-
-try:
-    import numpy  # noqa: F401  (probe only; cores import it themselves)
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container ships numpy
-    HAVE_NUMPY = False
 
 #: Engine-core names :func:`set_engine_core` / :func:`using_core` accept.
 VALID_MODES = ("array", "object")
@@ -65,15 +60,6 @@ def reset_soa_counters() -> None:
         SOA_COUNTERS[key] = 0
 
 
-def _warn_no_numpy() -> None:
-    warnings.warn(
-        "engine core 'array' requested but numpy is unavailable; "
-        "falling back to the object engines",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def _validate(mode: Optional[str]) -> None:
     if mode is not None and mode not in VALID_MODES:
         raise ValueError(
@@ -84,11 +70,9 @@ def _validate(mode: Optional[str]) -> None:
 def active_core() -> str:
     """The engine core timing runs select right now.
 
-    ``"object"`` only when explicitly requested (or numpy is missing);
-    any other setting — including none at all — means ``"array"``.
+    ``"object"`` only when explicitly requested; any other setting —
+    including none at all — means ``"array"``.
     """
-    if not HAVE_NUMPY:
-        return "object"
     mode = _MODE if _MODE is not None else os.environ.get("REPRO_ENGINE_CORE")
     return "object" if mode == "object" else "array"
 
@@ -103,8 +87,6 @@ def set_engine_core(mode: Optional[str]) -> None:
     """
     global _MODE
     _validate(mode)
-    if mode == "array" and not HAVE_NUMPY:
-        _warn_no_numpy()
     _MODE = mode
     if mode is None:
         os.environ.pop("REPRO_ENGINE_CORE", None)
@@ -125,14 +107,7 @@ def using_core(mode: Optional[str]) -> Iterator[None]:
         _MODE = previous
 
 
-if not HAVE_NUMPY and os.environ.get("REPRO_ENGINE_CORE") == "array":
-    # The explicit environment request cannot be honored; degrading to
-    # the (bit-identical) object engines deserves a visible warning.
-    _warn_no_numpy()
-
-
 __all__ = [
-    "HAVE_NUMPY",
     "SOA_COUNTERS",
     "VALID_MODES",
     "active_core",

@@ -1,8 +1,8 @@
 """Structure-of-arrays fast core for the grid dataflow engine.
 
-:meth:`DataflowEngine.run` re-derives flat per-uid views of the mapped
-window on every call and resolves operand routes through a per-run
-memoization cache.  This core hoists all of that into a one-time
+The object loop of :meth:`DataflowEngine.run` walks the mapped window's
+instance records and routes every operand delivery through the machine
+parameters.  This core hoists all of that into a one-time
 structure-of-arrays precompute cached on the window itself (windows are
 shared across engine runs and sweep points via
 :class:`~repro.machine.window_cache.MappedWindowCache`):

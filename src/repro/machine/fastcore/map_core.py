@@ -108,11 +108,18 @@ def _greedy_place(
 
 
 def place_iterations_array(kernel, params, iterations: int):
-    """Array-scored twin of ``placement.place_iterations``.
+    """Array-scored twin of ``placement.place_iterations``' object loop.
 
-    Same memoization by region signature, same metrics, same error
-    messages; returns an equal :class:`~repro.machine.placement.Placement`
-    (``node_rows`` shares one list object per memo replay).
+    Placement of one iteration is a deterministic function of the kernel
+    and the slot state of the nodes its greedy pass reads (the final,
+    possibly widened region), so repeated iterations are memoized by
+    *region signature* — ``(start node, slots over that region at
+    entry)``.  Signatures recur every time the unroll wraps the array,
+    turning the greedy pass from O(iterations) to O(distinct
+    signatures).  Same error messages and ``placement.*`` metrics, plus
+    ``placement.memo_replays``; returns an equal
+    :class:`~repro.machine.placement.Placement` (``node_rows`` shares
+    one list object per memo replay).
     """
     from ..placement import Placement, region_width
 

@@ -29,14 +29,9 @@ from ..isa.instruction import Const, Immediate, InstResult, RecordInput
 from ..isa.kernel import Kernel
 from ..isa.opcodes import OpClass
 from .config import MachineConfig
-from .fastcore import active_core
+from .fastcore import active_core, map_core
 from .params import MachineParams
 from .placement import Placement, max_unroll, place_iterations
-
-try:
-    from .fastcore import map_core as _map_core
-except ImportError:  # numpy unavailable: the object expansion stands alone
-    _map_core = None
 
 # Instance kinds
 COMPUTE = "compute"
@@ -546,12 +541,11 @@ def map_window(
         raise ValueError("MIMD configurations use repro.machine.mimd_engine")
     U = iterations if iterations is not None else window_iterations(kernel, config, params)
     placement = place_iterations(kernel, params, U)
-    if (_map_core is not None and active_core() == "array"
-            and len(placement.node_rows) == U):
+    if active_core() == "array":
         # Template-cloned expansion (repro.machine.fastcore.map_core):
         # same instances, built by cloning one per-distinct-placement
         # template instead of re-deriving every iteration.
-        return _map_core.expand_window(
+        return map_core.expand_window(
             kernel, config, params, U, record_offset, placement
         )
 

@@ -44,7 +44,6 @@ from ..isa.kernel import Kernel
 from ..memory.system import MemorySystem
 from ..obs.metrics import METRICS
 from ..obs.trace import CTL, EXEC, TRACE
-from ..perf.phases import PHASES, perf_counter
 from .config import MachineConfig
 from .fastcore import active_core, mimd_core
 from .params import MachineParams
@@ -140,13 +139,14 @@ class MimdEngine:
             sid: (1 << 22) + (1 << 18) * i
             for i, sid in enumerate(sorted(kernel.spaces))
         }
-        # Hot-loop metadata, computed once per engine: a flat
-        # (iid, kind, producer iids, record-word deps, latency, base,
-        # len) tuple per instruction replaces per-record isinstance
-        # dispatch and table lookups (constants/immediates never delay
-        # issue, so they drop out entirely), and live sets / useful-op
-        # counts are memoized per trip count (they depend on nothing
-        # else).
+        # Plan-building metadata for the array core
+        # (:func:`repro.machine.fastcore.mimd_core.build_plan`), computed
+        # once per engine: a flat (iid, kind, producer iids, record-word
+        # deps, latency, base, len) tuple per instruction replaces
+        # isinstance dispatch and table lookups (constants/immediates
+        # never delay issue, so they drop out entirely), and live sets /
+        # useful-op counts are memoized per trip count (they depend on
+        # nothing else).
         meta = []
         for inst in kernel.body:
             producers = tuple(
@@ -188,7 +188,7 @@ class MimdEngine:
         """Memoized per-trip-count view of the hot-loop metadata.
 
         Filters :attr:`_meta` down to the live instructions for ``trips``
-        (so the per-record loop never tests liveness) and precomputes the
+        (so plan building never tests liveness) and precomputes the
         skipped count, the LUT L1-trip count, and the store plan — a
         ``(slot, producer-or-minus-one)`` pair per output.
         """
@@ -221,145 +221,16 @@ class MimdEngine:
         """Execute one record on ``node`` starting at cycle ``start``.
 
         Returns ``(next_free_cycle, outputs)`` where outputs is None in
-        timing-only mode.  Functional runs take the straightforward
-        reference loop (which also computes values).  Timing-only runs
-        take the max-plus plan of :mod:`repro.machine.fastcore.mimd_core`
-        under the array core, and otherwise an optimized loop over the
-        precomputed instruction metadata: a whole LMW chunk's SMC-port
-        and channel reservations issue in one batched memory call, and
-        the record's stores flush through the row store buffer in one
-        batched push.  All paths produce identical cycle times and stats.
+        timing-only mode.  Timing-only runs under the array core evaluate
+        the record's max-plus plan (:mod:`repro.machine.fastcore.mimd_core`).
+        Functional runs, and every run under the object core, take the
+        loop below, which also computes output values: the executable
+        specification the plans must reproduce in cycle times, stats and
+        memory state (``tests/machine/test_fastcore_equivalence.py``).
         """
-        if self.functional:
-            return self._run_record_reference(node, start, record,
-                                              record_index)
-        if active_core() == "array":
-            # Max-plus affine core: every record, L1 round trips
-            # included, evaluates through its trip count's plan.
+        if not self.functional and active_core() == "array":
             return mimd_core.run_record(self, node, start, record,
                                         record_index)
-
-        params = self.params
-        memory = self.memory
-        stats = self.stats
-        row = node // params.cols
-        edge = params.route_to_row_edge(node)
-        kernel = self.kernel
-
-        trips = kernel.trip_count(record)
-        meta, skipped, live_luts, outs = self._live_meta(trips)
-
-        phases = PHASES.enabled
-        mem_started = perf_counter() if phases else 0.0
-        pc_time = start
-        word_ready: List[int] = [0] * kernel.record_in
-        smc_stream = self.config.smc_stream
-        l1_access = memory.l1_access
-        lmw_deliver_fast = memory.lmw_deliver_fast
-        load_stalls = 0
-        for words in self._chunks:
-            request = pc_time + edge
-            if smc_stream:
-                deliveries = lmw_deliver_fast(
-                    row, request, len(words), scattered=True
-                )
-            else:
-                base = (1 << 24) + record_index * kernel.record_in
-                deliveries = [l1_access(base + w, request) for w in words]
-            chunk_ready = pc_time + 1
-            for w, ready in zip(words, deliveries):
-                back = ready + edge
-                word_ready[w] = back
-                if back > chunk_ready:
-                    chunk_ready = back
-            load_stalls += chunk_ready - (pc_time + 1)
-            pc_time = chunk_ready
-        if phases:
-            PHASES.add("mimd_memory", perf_counter() - mem_started)
-
-        # ``ready_at`` is a flat list indexed by kernel iid: entries of
-        # never-executed producers stay ``start``, matching the
-        # reference's ``ready_at.get(producer, start)``.
-        ready_at: List[int] = [start] * len(kernel.body)
-        l0_data = self.config.l0_data
-        l0_latency = params.l0_data_latency
-        lut_trips = 0
-
-        for iid, kind, producers, word_deps, latency, mem_base, mem_len in meta:
-            # Anything at or before pc_time cannot delay issue, so the
-            # reference's ``max(..., default=start)`` reduces to the max
-            # operand readiness (constants and absent operands are 0).
-            operands_ready = 0
-            for p in producers:
-                t = ready_at[p]
-                if t > operands_ready:
-                    operands_ready = t
-            for w in word_deps:
-                t = word_ready[w]
-                if t > operands_ready:
-                    operands_ready = t
-            issue = pc_time if pc_time >= operands_ready else operands_ready
-            load_stalls += issue - pc_time
-            pc_time = issue + 1
-
-            if kind == 0:
-                done = issue + latency
-            elif kind == 1 and l0_data:
-                done = issue + l0_latency
-            else:
-                if kind == 1:
-                    address = mem_base + (
-                        (record_index * 31 + iid) % mem_len
-                    )
-                else:
-                    address = mem_base + (
-                        (record_index * 97 + iid * 13) % mem_len
-                    )
-                done = l1_access(address, issue + edge) + edge
-                if done > pc_time:
-                    load_stalls += done - pc_time
-                    pc_time = done
-            ready_at[iid] = done
-        if not l0_data:
-            lut_trips = live_luts
-
-        # Stores leave through the row store buffer; the buffer pushes
-        # are order-preserving and their drain times are not consumed
-        # here, so the whole record's stores flush in one batched call.
-        out_base = (1 << 26) + record_index * kernel.record_out
-        pushes = []
-        for slot, producer in outs:
-            if producer >= 0:
-                issue = ready_at[producer]
-                if pc_time > issue:
-                    issue = pc_time
-            else:
-                issue = pc_time
-            pc_time = issue + 1
-            pushes.append((out_base + slot, issue + edge))
-        if pushes:
-            if phases:
-                mem_started = perf_counter()
-            memory.smc_store_many(row, pushes)
-            if phases:
-                PHASES.add("mimd_memory", perf_counter() - mem_started)
-
-        if kernel.loop.variable or (kernel.loop.static_trips or 1) > 1:
-            pc_time += trips if kernel.loop.variable else (
-                kernel.loop.static_trips or 1
-            )
-        stats.load_stall_cycles += load_stalls
-        stats.instructions_executed += len(meta)
-        stats.instructions_skipped += skipped
-        stats.lut_l1_trips += lut_trips
-        return pc_time, None
-
-    def _run_record_reference(
-        self, node: int, start: int, record: Sequence[Number], record_index: int
-    ) -> tuple:
-        """Reference per-record loop: the executable spec for
-        :meth:`_run_record`, and the path that computes output values in
-        functional mode."""
         kernel = self.kernel
         params = self.params
         memory = self.memory
@@ -367,7 +238,7 @@ class MimdEngine:
         edge = params.route_to_row_edge(node)
 
         trips = kernel.trip_count(record)
-        live = {i.iid for i in kernel.live_instructions(trips)}
+        live = self._live_set(trips)
 
         pc_time = start
         word_ready: List[int] = [0] * kernel.record_in
@@ -378,11 +249,7 @@ class MimdEngine:
         # vector-fetch port amortization of the SIMD schedules.  Without
         # the streamed-memory mechanism configured, records come through
         # the cached L1 hierarchy instead.
-        for chunk in range(math.ceil(kernel.record_in / params.lmw_words)):
-            words = range(
-                chunk * params.lmw_words,
-                min((chunk + 1) * params.lmw_words, kernel.record_in),
-            )
+        for words in self._chunks:
             request = pc_time + edge  # request routed to the row bank
             if self.config.smc_stream:
                 deliveries = memory.lmw_deliver(
@@ -472,20 +339,26 @@ class MimdEngine:
                 done = issue + params.latencies[inst.op.opclass]
             ready_at[inst.iid] = done
 
-        # Stores stream out through the row store buffer.
+        # Stores stream out through the row store buffer.  Its pushes are
+        # order-preserving and their drain times are not consumed here,
+        # so the record's stores flush in one batched call (one trace
+        # span per record, as under the array core).
         out_values: Optional[List[Number]] = None
         if self.functional:
             out_values = [0] * kernel.record_out
+        out_base = (1 << 26) + record_index * kernel.record_out
+        pushes = []
         for producer, slot in kernel.outputs:
             if producer in live:
                 issue = max(pc_time, ready_at.get(producer, start))
             else:
                 issue = pc_time
             pc_time = issue + 1
-            address = (1 << 26) + record_index * kernel.record_out + slot
-            memory.smc_store(row, address, issue + edge)
+            pushes.append((out_base + slot, issue + edge))
             if self.functional:
                 out_values[slot] = values[producer]
+        if pushes:
+            memory.smc_store_many(row, pushes)
 
         # Loop-control overhead: one branch per executed loop trip.
         if kernel.loop.variable or (kernel.loop.static_trips or 1) > 1:

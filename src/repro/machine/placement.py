@@ -23,13 +23,8 @@ from typing import Dict, List, Tuple
 from ..isa.kernel import Kernel
 from ..obs.metrics import METRICS
 from ..perf.phases import PHASES, perf_counter
-from .fastcore import active_core
+from .fastcore import active_core, map_core
 from .params import MachineParams
-
-try:
-    from .fastcore import map_core as _map_core
-except ImportError:  # numpy unavailable: the object placement stands alone
-    _map_core = None
 
 
 @dataclass
@@ -76,7 +71,7 @@ def _place_one_iteration(
     width: int,
     slots_used: Dict[int, int],
     node_of: Dict[Tuple[int, int], int],
-) -> Tuple[List[int], List[int]]:
+) -> List[int]:
     """Greedily place iteration ``u``; mutate ``slots_used``/``node_of``.
 
     Chain-affine greedy placement: an instruction prefers the node of
@@ -86,10 +81,7 @@ def _place_one_iteration(
     producer nodes are saturated.  "Saturated" uses a per-node running
     chain budget so a single node does not swallow a whole wide graph.
 
-    Returns ``(region, assignment)``: the final (possibly widened) region
-    — exactly the set of nodes whose ``slots_used`` the decisions read —
-    and the chosen node per instruction in body order, which together
-    form the memoization record of :func:`place_iterations`.
+    Returns the chosen node per instruction, in body order.
     """
     nodes = params.nodes
     capacity = params.slots_per_node
@@ -137,7 +129,7 @@ def _place_one_iteration(
         slots_used[chosen] += 1
         iter_load[chosen] = iter_load.get(chosen, 0) + 1
         assignment.append(chosen)
-    return region, assignment
+    return assignment
 
 
 def place_iterations(
@@ -148,21 +140,13 @@ def place_iterations(
     Raises ``ValueError`` when the request exceeds total reservation-station
     capacity; callers pick ``iterations`` with :func:`max_unroll`.
 
-    Placement of one iteration is a deterministic function of the kernel
-    and the slot state of the nodes its greedy pass reads (the final
-    region of :func:`_place_one_iteration`), so repeated iterations are
-    memoized by *region signature* — ``(start node, slots_used over that
-    region at entry)``.  Signatures recur every time the unroll wraps the
-    array, turning the greedy pass from O(iterations) to O(distinct
-    signatures).  :func:`place_iterations_reference` is the un-memoized
-    executable specification; the equivalence suite pins the two to
-    identical placements.
-
     Under the ``array`` engine core the greedy pass runs the
-    array-scored variant in :mod:`repro.machine.fastcore.map_core`
-    (pinned to this one by the fastcore equivalence suite).  Wall time
-    is credited to the ``placement`` phase either way, so the mapping
-    phase breakdown separates placement from window expansion.
+    array-scored, region-signature-memoized variant in
+    :mod:`repro.machine.fastcore.map_core`; otherwise every iteration
+    runs :func:`_place_one_iteration` in turn.  That object loop is the
+    executable specification the array placement is pinned to.  Wall
+    time is credited to the ``placement`` phase either way, so the
+    mapping phase breakdown separates placement from window expansion.
     """
     if not PHASES.enabled:
         return _place_iterations_impl(kernel, params, iterations)
@@ -176,8 +160,8 @@ def place_iterations(
 def _place_iterations_impl(
     kernel: Kernel, params: MachineParams, iterations: int
 ) -> Placement:
-    if _map_core is not None and active_core() == "array":
-        return _map_core.place_iterations_array(kernel, params, iterations)
+    if active_core() == "array":
+        return map_core.place_iterations_array(kernel, params, iterations)
     width = region_width(kernel, params)
     nodes = params.nodes
     capacity = params.slots_per_node
@@ -192,27 +176,12 @@ def _place_iterations_impl(
     node_of: Dict[Tuple[int, int], int] = {}
     home_row: List[int] = []
     node_rows: List[List[int]] = []
-    body = kernel.body
-    #: start node -> [(entry slot signature, region, assignment)]
-    memo: Dict[int, List[Tuple[Tuple[int, ...], List[int], List[int]]]] = {}
 
     for u in range(iterations):
         start = (u * width) % nodes
         home_row.append((start // params.cols) % params.rows)
-        replay = None
-        for signature, region, assignment in memo.get(start, ()):
-            if all(slots_used[n] == s for n, s in zip(region, signature)):
-                replay = assignment
-                break
-        if replay is not None:
-            for inst, node in zip(body, replay):
-                node_of[(u, inst.iid)] = node
-                slots_used[node] += 1
-            node_rows.append(replay)
-            continue
-        entry_slots = dict(slots_used)
         try:
-            region, assignment = _place_one_iteration(
+            assignment = _place_one_iteration(
                 kernel, params, u, width, slots_used, node_of
             )
         except ValueError:
@@ -220,57 +189,10 @@ def _place_iterations_impl(
                 f"placement overflow: {kernel.name} x "
                 f"{iterations} exceeds reservation capacity"
             ) from None
-        memo.setdefault(start, []).append(
-            (tuple(entry_slots[n] for n in region), region, assignment)
-        )
         node_rows.append(assignment)
     if METRICS.enabled:
         METRICS.inc("placement.windows_placed")
         METRICS.inc("placement.instances_placed", iterations)
-        METRICS.inc("placement.memo_replays",
-                    iterations - sum(len(v) for v in memo.values()))
-    return Placement(
-        iterations=iterations,
-        node_of=node_of,
-        home_row=home_row,
-        slots_used=slots_used,
-        node_rows=node_rows,
-    )
-
-
-def place_iterations_reference(
-    kernel: Kernel, params: MachineParams, iterations: int
-) -> Placement:
-    """Un-memoized placement loop: the executable specification that
-    :func:`place_iterations` must reproduce bit-for-bit."""
-    width = region_width(kernel, params)
-    nodes = params.nodes
-    capacity = params.slots_per_node
-    total_needed = iterations * len(kernel.body)
-    if total_needed > nodes * capacity:
-        raise ValueError(
-            f"cannot place {iterations} x {len(kernel.body)} instructions: "
-            f"capacity is {nodes * capacity} slots"
-        )
-
-    slots_used: Dict[int, int] = {n: 0 for n in range(nodes)}
-    node_of: Dict[Tuple[int, int], int] = {}
-    home_row: List[int] = []
-    node_rows: List[List[int]] = []
-
-    for u in range(iterations):
-        start = (u * width) % nodes
-        home_row.append((start // params.cols) % params.rows)
-        try:
-            _, assignment = _place_one_iteration(
-                kernel, params, u, width, slots_used, node_of
-            )
-        except ValueError:
-            raise ValueError(
-                f"placement overflow: {kernel.name} x "
-                f"{iterations} exceeds reservation capacity"
-            ) from None
-        node_rows.append(assignment)
     return Placement(
         iterations=iterations,
         node_of=node_of,

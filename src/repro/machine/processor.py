@@ -142,9 +142,10 @@ class GridProcessor:
         if not PHASES.enabled:
             result = engine.run(records)
         else:
-            # The engine credits its memory-interface time to
-            # "mimd_memory"; subtract it here so the phases stay disjoint
-            # and sum cleanly.
+            # The array core credits its memory-interface time to
+            # "mimd_memory" (the object loop leaves it in "mimd_engine");
+            # subtract it here so the phases stay disjoint and sum
+            # cleanly.
             mem_before = PHASES.seconds.get("mimd_memory", 0.0)
             started = perf_counter()
             result = engine.run(records)

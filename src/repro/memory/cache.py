@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..obs.trace import MEM, TRACE
 from .mainmem import WORD_BYTES, MainMemory
 from .ports import PortQueue
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None
 
 
 @dataclass
@@ -166,12 +163,12 @@ class BankedL1:
         plus the LRU way scan — runs as a tight loop with the bank
         structures held in locals.  The per-access path stands alone as
         the reference (and serves tracing, which needs one event per
-        access, and numpy-free processes).
+        access).
         """
         n = len(addresses)
         if isinstance(cycles, int):
             cycles = [cycles] * n
-        if TRACE.enabled or np is None or n < 2:
+        if TRACE.enabled or n < 2:
             return [
                 self.timed_access(address, cycle, write=write)
                 for address, cycle in zip(addresses, cycles)

@@ -1,11 +1,11 @@
 """The paper-output contract: ``repro-experiments`` stdout is the
 committed ``experiment_report.txt``, byte for byte, under either engine
-core.
+core, serial or parallel, cold or replayed from the disk cache, with
+the ledger off or on.
 
 Every fast path is pinned to the object engines elsewhere; this test
 pins the whole pipeline to the published numbers, so regenerating the
-report is a deliberate, reviewed act.  Each run is a fresh process with
-no disk cache and no ledger (the cold serial path).
+report is a deliberate, reviewed act.  Each run is a fresh process.
 """
 
 import os
@@ -16,17 +16,37 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
+EXPECTED = (ROOT / "experiment_report.txt").read_text(encoding="utf-8")
+
+
+def run_report(cwd, *args):
+    """One ``repro-experiments`` process: (stdout, stderr) as text."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.harness.runner", *args],
+        cwd=cwd, env=env, capture_output=True, check=True,
+    )
+    return result.stdout.decode("utf-8"), result.stderr.decode("utf-8")
 
 
 @pytest.mark.parametrize("core", ["array", "object"])
 def test_stdout_matches_committed_report(core, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.harness.runner", "--no-ledger",
-         "--engine-core", core],
-        cwd=tmp_path, env=env, capture_output=True, check=True,
-    )
-    expected = (ROOT / "experiment_report.txt").read_text(encoding="utf-8")
-    assert result.stdout.decode("utf-8") == expected
-    assert f"engine core      : {core}" in result.stderr.decode("utf-8")
+    """The cold serial path: no disk cache, no ledger."""
+    stdout, stderr = run_report(tmp_path, "--no-ledger",
+                                "--engine-core", core)
+    assert stdout == EXPECTED
+    assert f"engine core      : {core}" in stderr
     assert not list(tmp_path.iterdir())  # no cache or ledger left behind
+
+
+def test_parallel_cached_ledgered_runs_match_committed_report(tmp_path):
+    """``--jobs 2`` with a disk cache and the ledger on, twice: the cold
+    parallel run and the warm replay print the same report, and the
+    replay simulates nothing."""
+    args = ("--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--ledger", str(tmp_path / "runs.db"), "--engine-core", "array")
+    cold_stdout, _ = run_report(tmp_path, *args)
+    warm_stdout, warm_stderr = run_report(tmp_path, *args)
+    assert cold_stdout == EXPECTED
+    assert warm_stdout == EXPECTED
+    assert "simulated points : 0 " in warm_stderr

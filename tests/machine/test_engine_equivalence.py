@@ -1,13 +1,16 @@
-"""Optimized engine hot loops vs their reference implementations.
+"""Engine hot paths: the default array core vs the object loop.
 
-The performance layer rewrote the inner loops of
-:class:`~repro.machine.dataflow_engine.DataflowEngine` and
-:class:`~repro.machine.mimd_engine.MimdEngine`; the original loops are
-kept as executable specifications (``run_reference`` and
-``_run_record_reference``).  These tests pin the cycle-count-equivalence
-guard: over a random-kernel fuzzer corpus both paths must produce
-identical timings, stats and traces — any divergence is a correctness
-bug in the optimization, never an acceptable approximation.
+``DataflowEngine.run``, ``MimdEngine._run_record`` and
+``place_iterations`` each branch once, to the array core of
+``repro.machine.fastcore`` (the default) or to the object loop, which
+is kept as the executable specification and selected with
+``using_core("object")``.  These tests pin the cycle-count-equivalence
+guard at those entry points: both paths must produce identical
+timings, stats, traces, placements and errors — any divergence is a
+correctness bug in the array core, never an acceptable approximation.
+Unlike ``test_fastcore_equivalence``, which maps each side under its
+own core, the dataflow cases here run both loops on windows mapped the
+same way, so only the issue loop differs.
 """
 
 import pytest
@@ -19,8 +22,8 @@ from repro.machine import DataflowEngine, GridProcessor, MachineConfig, \
     MachineParams, MimdEngine, map_window, rebase_window
 from repro.machine.dataflow_engine import STORE as STORE_KIND
 from repro.machine.dataflow_engine import DeadlockError
-from repro.machine.placement import max_unroll, place_iterations, \
-    place_iterations_reference
+from repro.machine.fastcore import using_core
+from repro.machine.placement import max_unroll, place_iterations
 from repro.machine.window_cache import MappedWindowCache
 from repro.memory import MemorySystem
 
@@ -58,13 +61,19 @@ def dataflow_pair(kernel, config, iterations, trace=False):
     return engines
 
 
+def run_object(engine):
+    """``DataflowEngine.run`` through the object issue loop."""
+    with using_core("object"):
+        return engine.run()
+
+
 class TestDataflowEquivalence:
     @pytest.mark.parametrize("seed", range(16))
     def test_fuzz_corpus_identical_timing_and_stats(self, seed):
         kernel, config, iterations = corpus_case(seed)
         fast, reference = dataflow_pair(kernel, config, iterations)
         t_fast = fast.run()
-        t_ref = reference.run_reference()
+        t_ref = run_object(reference)
         assert t_fast == t_ref
         assert fast.stats == reference.stats
 
@@ -73,16 +82,16 @@ class TestDataflowEquivalence:
         fast, reference = dataflow_pair(kernel, config, iterations,
                                         trace=True)
         fast.run()
-        reference.run_reference()
+        run_object(reference)
         assert fast.trace == reference.trace
 
     def test_paper_kernel_identical(self):
-        params = MachineParams()
         for name, config in [("convert", MachineConfig.S_O()),
                              ("md5", MachineConfig.baseline())]:
             kernel = spec(name).kernel()
             fast, reference = dataflow_pair(kernel, config, 4)
-            assert fast.run() == reference.run_reference()
+            assert fast.run() == run_object(reference)
+            assert fast.stats == reference.stats
 
     def test_deadlock_raised_by_both_paths(self):
         kernel, config, iterations = corpus_case(1)
@@ -93,26 +102,32 @@ class TestDataflowEquivalence:
         # rebase_window is the only mutation the cache is transparent
         # to (LOAD/STORE addresses are read from instances at issue).
         for engine in (fast, reference):
-            if hasattr(engine.window, "_fastcore_soa"):
-                del engine.window._fastcore_soa
+            engine.window.__dict__.pop("_fastcore_soa", None)
         with pytest.raises(DeadlockError):
             fast.run()
         with pytest.raises(DeadlockError):
-            reference.run_reference()
-        # The guard syncs stats before raising, so both paths agree on
-        # how far execution got.
+            run_object(reference)
+        # The array core syncs stats before raising, so both paths agree
+        # on how far execution got.
         assert fast.stats == reference.stats
 
 
 class TestPlacementMemoEquivalence:
-    """Memoized ``place_iterations`` vs its un-memoized specification."""
+    """Memoized array ``place_iterations`` vs the object placement."""
+
+    @staticmethod
+    def place_both(kernel, params, iterations):
+        with using_core("array"):
+            memoized = place_iterations(kernel, params, iterations)
+        with using_core("object"):
+            reference = place_iterations(kernel, params, iterations)
+        return memoized, reference
 
     @pytest.mark.parametrize("seed", range(16))
     def test_fuzz_corpus_identical_placement(self, seed):
         kernel, _config, iterations = corpus_case(seed)
-        params = MachineParams()
-        memoized = place_iterations(kernel, params, iterations)
-        reference = place_iterations_reference(kernel, params, iterations)
+        memoized, reference = self.place_both(kernel, MachineParams(),
+                                              iterations)
         assert memoized == reference
 
     @pytest.mark.parametrize("name", [s.name for s in all_specs()])
@@ -122,8 +137,7 @@ class TestPlacementMemoEquivalence:
         kernel = spec(name).kernel()
         params = MachineParams()
         U = max_unroll(kernel, params)
-        memoized = place_iterations(kernel, params, U)
-        reference = place_iterations_reference(kernel, params, U)
+        memoized, reference = self.place_both(kernel, params, U)
         assert memoized == reference
         assert memoized.max_slot_usage() <= params.slots_per_node
 
@@ -131,67 +145,89 @@ class TestPlacementMemoEquivalence:
         kernel = spec("md5").kernel()
         params = MachineParams()
         too_many = params.nodes * params.slots_per_node
-        with pytest.raises(ValueError):
-            place_iterations(kernel, params, too_many)
-        with pytest.raises(ValueError):
-            place_iterations_reference(kernel, params, too_many)
+        messages = []
+        for core in ("array", "object"):
+            with using_core(core), pytest.raises(ValueError) as error:
+                place_iterations(kernel, params, too_many)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
 
 class TestRebasedWindowEquivalence:
-    """``rebase_window`` on a warm window vs a fresh offset map."""
+    """``rebase_window`` on a mapped window vs a fresh offset map."""
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 8, 12, 15])
     def test_rebase_matches_fresh_map(self, seed):
+        """Lazy (array) and materialized (object) windows both rebase to
+        a window field-for-field equal to a fresh map at the offset."""
         kernel, config, iterations = corpus_case(seed)
         params = MachineParams()
-        rebased = map_window(kernel, config, params, iterations=iterations)
-        rebase_window(rebased, iterations)
-        fresh = map_window(kernel, config, params, iterations=iterations,
-                           record_offset=iterations)
-        assert rebased.record_base == fresh.record_base
-        assert rebased.out_base == fresh.out_base
-        assert rebased.record_offset == fresh.record_offset
-        assert rebased.instances == fresh.instances
-        assert rebased.const_reads == fresh.const_reads
-        assert rebased.placement == fresh.placement
+        with using_core("object"):
+            fresh = map_window(kernel, config, params,
+                               iterations=iterations,
+                               record_offset=iterations)
+        for core in ("array", "object"):
+            with using_core(core):
+                rebased = map_window(kernel, config, params,
+                                     iterations=iterations)
+            rebase_window(rebased, iterations)
+            assert rebased.record_base == fresh.record_base
+            assert rebased.out_base == fresh.out_base
+            assert rebased.record_offset == fresh.record_offset
+            assert rebased.instances == fresh.instances
+            assert rebased.const_reads == fresh.const_reads
+            assert rebased.placement == fresh.placement
+            assert rebased == fresh
 
     @pytest.mark.parametrize("seed", [2, 6, 9, 13])
     def test_warm_window_timing_matches_reference(self, seed):
-        """The engine fast path on a rebased window must reproduce the
-        reference path on an independently mapped warm window."""
+        """The array core on a window it already ran, then rebased, must
+        reproduce the object loop on an independently mapped window at
+        the new offset."""
         kernel, config, iterations = corpus_case(seed)
         params = MachineParams()
 
-        def engine(window, trace):
+        def engine(window):
             memory = MemorySystem(params.rows, params.memory_timings())
             memory.configure_smc(config.smc_stream)
-            return DataflowEngine(window, memory, seed=2, trace=trace)
+            return DataflowEngine(window, memory, seed=2, trace=True)
 
-        rebased = map_window(kernel, config, params, iterations=iterations)
-        rebase_window(rebased, iterations)
-        fresh = map_window(kernel, config, params, iterations=iterations,
-                           record_offset=iterations)
-        fast = engine(rebased, trace=True)
-        reference = engine(fresh, trace=True)
-        assert fast.run() == reference.run_reference()
+        with using_core("array"):
+            rebased = map_window(kernel, config, params,
+                                 iterations=iterations)
+            engine(rebased).run()
+            rebase_window(rebased, iterations)
+            fast = engine(rebased)
+            t_fast = fast.run()
+        with using_core("object"):
+            fresh = map_window(kernel, config, params,
+                               iterations=iterations,
+                               record_offset=iterations)
+            reference = engine(fresh)
+            t_ref = reference.run()
+        assert t_fast == t_ref
         assert fast.stats == reference.stats
         assert fast.trace == reference.trace
 
     def test_processor_cache_hit_is_bit_identical(self):
         """A GridProcessor replaying a mapped window from the in-process
-        cache (hit + rebase) must match a cold mapping run."""
+        cache (hit + rebase) must match a cold object-loop run, under
+        either core."""
         s = spec("fft")
         kernel, records = s.kernel(), s.workload(16, 3)
         config = MachineConfig.S_O()
-        cold = GridProcessor(window_cache=MappedWindowCache()).run(
-            kernel, records, config
-        )
-        warm_proc = GridProcessor(window_cache=MappedWindowCache())
-        first = warm_proc.run(kernel, records, config)
-        second = warm_proc.run(kernel, records, config)  # cache hit
-        assert warm_proc.window_cache.hits > 0
-        assert first == cold
-        assert second == cold
+        with using_core("object"):
+            cold = GridProcessor(window_cache=MappedWindowCache()).run(
+                kernel, records, config
+            )
+        for core in ("array", "object"):
+            with using_core(core):
+                warm_proc = GridProcessor(window_cache=MappedWindowCache())
+                first = warm_proc.run(kernel, records, config)
+                second = warm_proc.run(kernel, records, config)  # hit
+            assert warm_proc.window_cache.hits > 0
+            assert first == cold
+            assert second == cold
 
 
 def mimd_engine(name, config, functional=False):
@@ -200,6 +236,17 @@ def mimd_engine(name, config, functional=False):
     memory.configure_smc(True)
     return MimdEngine(spec(name).kernel(), config, params, memory,
                       functional=functional)
+
+
+def mimd_both(name, config, records):
+    """One MIMD point under the array core and under the object loop."""
+    fast = mimd_engine(name, config)
+    with using_core("array"):
+        r_fast = fast.run(records)
+    reference = mimd_engine(name, config)
+    with using_core("object"):
+        r_ref = reference.run(records)
+    return fast, r_fast, reference, r_ref
 
 
 MIMD_POINTS = [("fft", "M"), ("md5", "M"), ("blowfish", "M-D"),
@@ -212,21 +259,19 @@ class TestMimdEquivalence:
     def test_fast_path_matches_reference(self, name, cfg):
         config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
         records = spec(name).workload(24, 5)
-        fast = mimd_engine(name, config)
-        reference = mimd_engine(name, config)
-        reference._run_record = reference._run_record_reference
-        r_fast = fast.run(records)
-        r_ref = reference.run(records)
+        fast, r_fast, reference, r_ref = mimd_both(name, config, records)
         assert r_fast == r_ref
         assert fast.stats == reference.stats
 
     def test_functional_mode_uses_reference_loop(self):
-        """Functional runs still compute outputs (reference loop)."""
+        """Functional runs take the object loop even under the array
+        core, and compute the kernel's reference outputs."""
         s = spec("blowfish")
         records = s.workload(4, 5)
         engine = mimd_engine("blowfish", MachineConfig.M_D(),
                              functional=True)
-        result = engine.run(records)
+        with using_core("array"):
+            result = engine.run(records)
         for record, out in zip(records, result.outputs):
             assert out == s.reference(record)
 
@@ -244,16 +289,14 @@ def _mimd_capable_points():
 
 
 class TestMimdAllKernelsEquivalence:
-    """The flattened record loop, swept over every capable benchmark."""
+    """The array record core, swept over every capable benchmark."""
 
     @pytest.mark.parametrize("name,cfg", _mimd_capable_points())
     def test_batch_loop_matches_reference(self, name, cfg):
         config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
         records = spec(name).workload(12, 11)
-        fast = mimd_engine(name, config)
-        reference = mimd_engine(name, config)
-        reference._run_record = reference._run_record_reference
-        assert fast.run(records) == reference.run(records)
+        fast, r_fast, reference, r_ref = mimd_both(name, config, records)
+        assert r_fast == r_ref
         assert fast.stats == reference.stats
 
 

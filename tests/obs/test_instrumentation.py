@@ -2,11 +2,15 @@
 when enabled, stamp every run's detail with the memory snapshot, and
 stay silent when observability is off."""
 
+import json
+
 import pytest
 
 from repro.kernels import spec
 from repro.machine import GridProcessor, MachineParams
 from repro.machine.config import TABLE5_CONFIGS, named_config
+from repro.machine.fastcore import using_core
+from repro.machine.window_cache import MappedWindowCache
 from repro.obs import (
     METRICS,
     TRACE,
@@ -28,8 +32,6 @@ MEMORY_DETAIL_KEYS = (
 
 
 def run_point(config_name: str, records: int = 32, **kwargs):
-    from repro.machine.window_cache import MappedWindowCache
-
     s = spec("convert")
     # A private window cache: mapping runs (and its metrics fire) even
     # when another test already mapped this point into the shared cache.
@@ -185,3 +187,59 @@ class TestTraceRecording:
         issue_events = [e for e in rec.events if e["cat"] == "execution"]
         assert len(issue_events) == result.window.machine_instructions
         TRACE.clear()
+
+
+#: (kernel, config, records): a multi-window streaming point (256
+#: records > one 128-iteration window, so revitalize fires), the
+#: baseline's per-word L1 loads, an S point with L1 table lookups, and
+#: MIMD points whose records take plain, LUT and LDI round trips.
+PARITY_POINTS = [
+    ("convert", "S-O-D", 256),
+    ("convert", "baseline", 64),
+    ("convert", "M", 64),
+    ("blowfish", "M", 64),
+    ("anisotropic-filter", "M-D", 64),
+    ("rijndael", "S", 64),
+]
+
+
+def observe(core, kernel_name, config_name, records):
+    """One point under ``core`` with METRICS and TRACE both on:
+    (result, metrics snapshot, sorted trace events)."""
+    s = spec(kernel_name)
+    with using_core(core):
+        processor = GridProcessor(MachineParams(),
+                                  window_cache=MappedWindowCache())
+        with collecting() as reg, recording() as rec:
+            result = processor.run(s.kernel(), s.workload(records),
+                                   named_config(config_name))
+    metrics = reg.snapshot()
+    events = sorted(json.dumps(e, sort_keys=True) for e in rec.events)
+    METRICS.reset()
+    TRACE.clear()
+    return result, metrics, events
+
+
+class TestCrossCoreParity:
+    """Observability is part of the contract: the array core and the
+    object loop publish the same metrics and the same trace events."""
+
+    @pytest.mark.parametrize("kernel,config,records", PARITY_POINTS)
+    def test_metrics_and_events_match_across_cores(self, kernel, config,
+                                                   records):
+        r_array, m_array, e_array = observe("array", kernel, config,
+                                            records)
+        r_object, m_object, e_object = observe("object", kernel, config,
+                                               records)
+        assert r_array == r_object
+        # ``fastcore.*`` counts the array core's own buffers;
+        # ``placement.memo_replays`` counts the array placement's
+        # region-signature replays, which the object loop does not do.
+        for metrics in (m_array, m_object):
+            for key in list(metrics):
+                if (key.startswith("fastcore.")
+                        or key == "placement.memo_replays"):
+                    del metrics[key]
+        assert m_array == m_object
+        assert e_array == e_object
+        assert e_array
