@@ -307,8 +307,8 @@ class ExperimentContext:
             # of workloads and fingerprints.  The scan above already
             # charged the cache miss, so simulate and store directly
             # rather than re-probing through :meth:`run`.  Like the
-            # pool path, this runs as a claim consumer: with a ledger
-            # configured the points become claim rows, so concurrent
+            # pool path, this runs as a claim consumer: the points
+            # become claim rows, so with a ledger configured concurrent
             # workers on the same database split the sweep and rows
             # they finish are adopted instead of re-simulated.
             from ..sched import session_for_points
@@ -365,17 +365,9 @@ class ExperimentContext:
 
             try:
                 session.enqueue(points)
-                chunk = 1 if session.store.durable else None
-                while True:
-                    batch = session.claim(limit=chunk)
-                    if not batch:
-                        break
-                    for seq in batch:
-                        payloads[seq] = _run_seq(seq)
-                if len(payloads) < len(missing):
-                    session.wait_remaining(
-                        payloads, runner=_run_seq, on_adopted=_adopted
-                    )
+                session.wait_remaining(
+                    payloads, runner=_run_seq, on_adopted=_adopted
+                )
             finally:
                 session.close()
             for seq, (name, config, fp) in enumerate(missing):

@@ -51,6 +51,8 @@ import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
+from .metrics import METRICS
+
 #: Ledger schema version (bump on incompatible table changes).
 LEDGER_SCHEMA = 2
 
@@ -201,20 +203,36 @@ def _json_or_none(doc: Optional[Dict[str, Any]]) -> Optional[str]:
     return json.dumps(_jsonable(doc), sort_keys=True)
 
 
+#: The lock around every sqlite call a :class:`RunLedger` makes, shared
+#: by all of this process's ledgers.  ``fork()`` takes it first, so a
+#: pool worker is never forked while another thread is inside sqlite:
+#: the child would inherit sqlite's in-process lock state mid-statement
+#: and block (busy-wait, or deadlock) on a lock no thread of its own
+#: holds.
+_SQLITE_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_SQLITE_LOCK.acquire,
+        after_in_parent=_SQLITE_LOCK.release,
+        after_in_child=_SQLITE_LOCK.release,
+    )
+
+
 class RunLedger:
     """Append/read access to one ledger database file.
 
     Opens lazily, configures WAL mode + a busy timeout, and creates the
-    schema on first use.  One instance is safe to share across threads
-    (a lock serializes this process's inserts); concurrent *processes*
-    coordinate through sqlite's own WAL locking.
+    schema on first use.  Instances are safe to share across threads
+    (one process-wide lock serializes this process's sqlite calls);
+    concurrent *processes* coordinate through sqlite's own WAL locking.
+    ``":memory:"`` opens a private in-memory database instead of a file.
     """
 
     def __init__(self, path: str):
         self.path = str(path)
         self._conn: Optional[sqlite3.Connection] = None
         self._pid = os.getpid()
-        self._lock = threading.Lock()
+        self._lock = _SQLITE_LOCK
 
     def _connect(self) -> sqlite3.Connection:
         """The (per-process) connection, reopened after a fork."""
@@ -310,21 +328,12 @@ class RunLedger:
             cursor = self._connect().execute("SELECT COUNT(*) FROM runs")
             return int(cursor.fetchone()[0])
 
-    def cache_counts(self, since: Optional[float] = None) -> Dict[str, int]:
-        """Rows per cache verdict (``hit``/``miss``/``uncached``).
-
-        ``since`` restricts to rows stamped at or after the given
-        ``time.time()`` — how the service layer attributes replay
-        traffic to one job's execution window.
-        """
-        query = "SELECT cache, COUNT(*) FROM runs"
-        args: List[float] = []
-        if since is not None:
-            query += " WHERE created_at >= ?"
-            args.append(float(since))
-        query += " GROUP BY cache"
+    def cache_counts(self) -> Dict[str, int]:
+        """Run rows per cache verdict (``hit``/``miss``/``uncached``)."""
         with self._lock:
-            cursor = self._connect().execute(query, args)
+            cursor = self._connect().execute(
+                "SELECT cache, COUNT(*) FROM runs GROUP BY cache"
+            )
             raw = cursor.fetchall()
         return {
             (verdict if verdict is not None else "unknown"): int(n)
@@ -341,11 +350,9 @@ class RunLedger:
     # get re-claimed, and "cancelled" for revoked pending rows.  All
     # transitions are guarded UPDATEs inside one immediate transaction,
     # so two claimers (threads, processes or hosts sharing the database
-    # file) can never both win the same row.
-
-    #: Claim stores backed by this class survive the process (the
-    #: in-memory store in :mod:`repro.sched.store` reports False).
-    durable = True
+    # file) can never both win the same row.  A ledger opened on
+    # ":memory:" runs the same SQL privately: the scheduler's store
+    # when no ledger file is configured.
 
     @contextmanager
     def _txn(self):
@@ -832,9 +839,10 @@ class LedgerHandle:
         ``result`` is a :class:`~repro.machine.stats.RunResult`; its
         ``detail`` dict *is* the per-run metrics snapshot (the memory
         hierarchy's traffic summary plus backend diagnostics), stored
-        as sorted-key JSON.  Failures to reach the database degrade to
-        a dropped row, never an error — observability must not take
-        down the simulation it observes.
+        as sorted-key JSON.  Failures to reach the database (sqlite
+        errors, or an unusable path) degrade to a dropped row, counted
+        as ``ledger.dropped_rows`` when metrics are on, never an error —
+        observability must not take down the simulation it observes.
         """
         if not self.enabled or self._ledger is None:
             return None
@@ -880,7 +888,9 @@ class LedgerHandle:
         }
         try:
             self._ledger.append(row)
-        except sqlite3.Error:
+        except (sqlite3.Error, OSError):
+            if METRICS.enabled:
+                METRICS.inc("ledger.dropped_rows")
             return None
         return run_id
 

@@ -10,17 +10,17 @@ returns results in input order; with one effective worker (``jobs <= 1``,
 a single-CPU host, or a single point) it degrades to an identical
 deterministic serial loop.
 
-Since the scheduler refactor, :func:`run_points` is a *claim consumer*
-over :mod:`repro.sched`: points are enqueued as rows in a claim store
-(the WAL-mode sqlite ledger when one is configured, an in-memory
-equivalent otherwise), the pool and serial paths only run points they
-atomically claimed, and every finished point is recorded back as a
-DONE row.  With a shared ledger that makes a sweep shardable — another
-process (``repro-worker``, a second service, another host) claiming
-rows of the same job never double-runs a fingerprint, and whatever it
-finishes is adopted here instead of re-simulated.  Without a ledger
-the store is process-local and behavior is byte-identical to the old
-direct dispatch.
+:func:`run_points` is a *claim consumer* over :mod:`repro.sched`:
+points are enqueued as rows of the sqlite claim table (the configured
+ledger, or a private ``:memory:`` database without one), the pool and
+serial paths only run points they atomically claimed, and every
+finished point is recorded back as a DONE row carrying its result,
+wall seconds and cache verdict.  With a shared ledger that makes a
+sweep shardable — another process (``repro-worker``, a second service,
+another host) claiming rows of the same job never double-runs a
+fingerprint, and whatever it finishes is adopted here instead of
+re-simulated.  Without a ledger the table is process-local and the
+results are byte-identical to direct dispatch.
 
 Dispatch is adaptive rather than naive:
 
@@ -44,7 +44,6 @@ re-simulated.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
@@ -107,7 +106,7 @@ _META_SLOT = threading.local()
 
 
 def simulate_point(point: SweepPoint) -> RunResult:
-    """Run one sweep point from scratch (also the process-pool worker).
+    """Run one sweep point, rebuilding its kernel and workload.
 
     With ``point.cache_dir`` set the on-disk run cache is consulted
     first and populated after a miss, so concurrent workers (and later
@@ -193,21 +192,14 @@ def _simulate_pinned(
     return result
 
 
-def simulate_point_timed(point: SweepPoint) -> Tuple[RunResult, float]:
-    """Like :func:`simulate_point`, returning (result, wall seconds)."""
-    started = time.perf_counter()
-    result = simulate_point(point)
-    return result, time.perf_counter() - started
-
-
 def simulate_point_meta(
     point: SweepPoint,
 ) -> Tuple[RunResult, float, str]:
     """One point with full accounting: (result, seconds, cache verdict).
 
-    The claim consumers (serial loop, ``repro-worker``) record the
-    verdict on the DONE row so a job's cache hit/miss split can be
-    read straight from the claim table.
+    Every claim consumer (the serial loop, the pool, ``repro-worker``)
+    records the verdict on the DONE row, so a job's cache hit/miss split
+    is read straight from its claim rows.
     """
     meta: dict = {}
     previous = getattr(_META_SLOT, "meta", None)
@@ -223,15 +215,16 @@ def simulate_point_meta(
     return result, seconds, meta.get("cache", "uncached")
 
 
-def _pool_worker_phased(point: SweepPoint, timed: bool):
-    """Pool worker that also returns its PHASES snapshot.
+def _pool_worker_phased(point: SweepPoint):
+    """Pool worker: the :func:`simulate_point_meta` triple plus PHASES.
 
-    Workers are separate processes, so their phase accumulators would
-    otherwise be lost; :func:`run_points` folds the returned snapshots
-    back into the parent's ``PHASES`` when measurement is on.
+    Returns ``(triple, phase snapshot)``.  Workers are separate
+    processes, so their phase accumulators would otherwise be lost;
+    :func:`run_points` folds the returned snapshots back into the
+    parent's ``PHASES`` when measurement is on.
     """
     with measuring() as acc:
-        payload = simulate_point_timed(point) if timed else simulate_point(point)
+        payload = simulate_point_meta(point)
         snapshot = acc.snapshot()
     return payload, snapshot
 
@@ -244,7 +237,7 @@ class DispatchStats:
     process pool ran), or ``"pool-fallback"`` (a pool was wanted but
     could not be spawned — e.g. a sandbox — and the sweep degraded to
     the serial loop).  ``busy_seconds`` is only populated for timed
-    sweeps, where per-point wall times are measured anyway.
+    sweeps, whose results carry each point's wall seconds.
     """
 
     points: int = 0
@@ -354,11 +347,11 @@ def run_points(
     The sweep runs as a claim consumer: points become PENDING rows of
     one job in a claim store (see :mod:`repro.sched`), both dispatch
     paths only run rows they claimed, and results are recorded back as
-    DONE rows.  Rows another worker finished (shared-ledger sharding,
-    resumed service jobs) are *adopted* — deserialized from the store
-    instead of re-run — and rows whose worker died are reclaimed after
-    lease expiry, so the call still returns the complete in-order
-    result list.  Pass ``session`` (a
+    DONE rows with their cache verdicts.  Rows another worker finished
+    (shared-ledger sharding, resumed service jobs) are *adopted* —
+    deserialized from the store instead of re-run — and rows whose
+    worker died are reclaimed after lease expiry, so the call still
+    returns the complete in-order result list.  Pass ``session`` (a
     :class:`~repro.sched.ClaimSession`) to run under an existing job —
     the service queue does, wiring its cancel events into claim
     revocation; otherwise a session is created from the points'
@@ -380,7 +373,6 @@ def run_points(
     global LAST_DISPATCH
     from ..sched import session_for_points
 
-    worker = simulate_point_timed if timed else simulate_point
     points = list(points)
     workers = effective_workers(jobs, len(points))
     want_phases = PHASES.enabled
@@ -408,19 +400,12 @@ def run_points(
             chunksize = max(1, len(points) // (workers * 4))
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    if want_phases:
-                        mapped = pool.map(
-                            _pool_worker_phased,
-                            [enqueued[i] for i in order],
-                            itertools.repeat(timed),
-                            chunksize=chunksize,
-                        )
-                    else:
-                        mapped = pool.map(
-                            worker,
-                            [enqueued[i] for i in order],
-                            chunksize=chunksize,
-                        )
+                    mapped = pool.map(
+                        _pool_worker_phased if want_phases
+                        else simulate_point_meta,
+                        [enqueued[i] for i in order],
+                        chunksize=chunksize,
+                    )
                     if want_progress:
                         shuffled = _drain_pool(
                             mapped, enqueued, order, workers * chunksize
@@ -432,8 +417,8 @@ def run_points(
                 # Pools that cannot spawn (sandboxes) or whose workers
                 # died mid-sweep degrade to the serial loop — never
                 # wrong results, never a crash.  The claims go back to
-                # PENDING so the loop below (or any other worker) can
-                # take them.  KeyboardInterrupt propagates.
+                # PENDING so the consumer loop below (or any other
+                # worker) can take them.  KeyboardInterrupt propagates.
                 stats.mode = "pool-fallback"
                 session.release()
             else:
@@ -449,41 +434,26 @@ def run_points(
                                 stats.worker_phase_seconds.get(name, 0.0)
                                 + elapsed
                             )
-                    payloads[i] = payload
-                    result = payload[0] if timed else payload
-                    wall = payload[1] if timed else None
-                    session.complete(i, result, wall_seconds=wall)
-        if stats.mode != "pool":
-            # Serial claim loop.  Durable stores claim one row at a
-            # time so concurrent claimers interleave at point
-            # granularity; the in-memory store has no other claimers,
-            # so one claim takes the whole job.
-            chunk = 1 if session.store.durable else None
-            while True:
-                session.raise_if_cancelled()
-                batch = session.claim(limit=chunk)
-                if not batch:
-                    break
-                for seq in batch:
-                    payloads[seq] = _run_claimed(
-                        session, enqueued, seq, timed, want_progress
+                    result, seconds, verdict = payload
+                    session.complete(
+                        i, result, wall_seconds=seconds, cache=verdict
                     )
-        if len(payloads) < len(enqueued):
-            # Rows another worker holds or finished: adopt DONE rows,
-            # reclaim expired leases, poll live foreign claims.
-            session.wait_remaining(
-                payloads,
-                runner=lambda seq: _run_claimed(
-                    session, enqueued, seq, timed, want_progress
-                ),
-                timed=timed,
-                on_adopted=(
-                    (lambda seq, row: PROGRESS.point_finished(
-                        _progress_label(enqueued[seq]),
-                        backend=enqueued[seq].backend,
-                    )) if want_progress else None
-                ),
-            )
+                    payloads[i] = (result, seconds) if timed else result
+        # The serial consumer: whatever the pool did not run (all of it
+        # on one worker), rows another worker finished, expired leases.
+        session.wait_remaining(
+            payloads,
+            runner=lambda seq: _run_claimed(
+                session, enqueued, seq, timed, want_progress
+            ),
+            timed=timed,
+            on_adopted=(
+                (lambda seq, row: PROGRESS.point_finished(
+                    _progress_label(enqueued[seq]),
+                    backend=enqueued[seq].backend,
+                )) if want_progress else None
+            ),
+        )
         results = [payloads[i] for i in range(len(enqueued))]
     finally:
         if own_session:

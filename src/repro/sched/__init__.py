@@ -4,9 +4,11 @@ One substrate under every execution path — ``run_points``' serial and
 pool consumers, the experiment harness's in-context loop, the service
 queue's worker threads and the ``repro-worker`` CLI.  Points are rows
 in a claim table (PENDING → CLAIMED → DONE/FAILED/CANCELLED) keyed by
-content fingerprint; the WAL-mode sqlite ledger makes that table
-durable and shareable across processes and hosts, and the in-memory
-store provides the identical semantics when no ledger is configured.
+content fingerprint.  There is one store, the sqlite
+:class:`~repro.obs.ledger.RunLedger`: on a database file it is durable
+and shared across processes and hosts, and when no ledger is
+configured a session runs the same SQL on a private ``:memory:``
+database.
 """
 
 from .codec import decode_point, encode_point, point_fingerprint
@@ -17,12 +19,10 @@ from .scheduler import (
     default_worker_id,
     session_for_points,
 )
-from .store import MemoryClaimStore
 
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "ClaimSession",
-    "MemoryClaimStore",
     "SweepCancelled",
     "decode_point",
     "default_worker_id",

@@ -16,17 +16,18 @@ in-context loop, the service queue's worker threads and the
     the error) — the durable record other workers and restarted
     services adopt;
 ``wait_remaining``
-    resolve rows another worker claimed: adopt their DONE results,
-    re-run anything whose lease expired, surface FAILED loudly.
+    the one serial consumer loop: claim a row, run it, repeat; when
+    nothing is claimable, adopt the DONE results other workers
+    recorded, surface FAILED rows loudly and poll live foreign leases.
 
-The store is either the WAL-mode sqlite ledger
-(:class:`~repro.obs.ledger.RunLedger` — durable, shared across
-processes and hosts) or the in-process
-:class:`~repro.sched.store.MemoryClaimStore` when no ledger is
-configured.  Durable sessions renew their lease deadlines from a
-heartbeat thread, so long-running points are never reclaimed out from
-under a live worker; a *dead* worker stops heartbeating and its claims
-expire — that is the whole crash-recovery story.
+The store is always the sqlite :class:`~repro.obs.ledger.RunLedger`:
+the configured ledger file (durable, shared across processes and
+hosts), or a private ``:memory:`` database the session owns when no
+ledger is configured — one implementation of the state machine either
+way.  Sessions renew their lease deadlines from a heartbeat thread, so
+long-running points are never reclaimed out from under a live worker;
+a *dead* worker stops heartbeating and its claims expire — that is the
+whole crash-recovery story.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from ..obs.ledger import (
 )
 from ..obs.progress import point_label
 from .codec import encode_point, point_fingerprint
-from .store import MemoryClaimStore
 
 #: Default claim lease: generous against slow points (a live worker
 #: heartbeats well before this), short enough that a crashed worker's
@@ -100,45 +100,28 @@ class ClaimSession:
     def enqueue(self, points) -> List[Any]:
         """Insert the job's points; returns fingerprint-filled copies.
 
-        Durable stores key rows by content fingerprint (computed here
-        once, unless the caller pre-filled it) and carry a serialized
-        spec any worker can rebuild the point from.  The in-memory
-        store skips both — nothing outlives the process there.
+        Rows are keyed by content fingerprint (computed here once,
+        unless the caller pre-filled it) and carry a serialized spec
+        any worker can rebuild the point from.
         """
         import dataclasses
 
-        if self.store.durable:
-            filled = []
-            for point in points:
-                fp = point.fingerprint or point_fingerprint(point)
-                filled.append(
-                    point if point.fingerprint == fp
-                    else dataclasses.replace(point, fingerprint=fp)
-                )
-            rows = [
-                {
-                    "seq": seq,
-                    "fingerprint": point.fingerprint,
-                    "label": _label(point),
-                    "backend": point.backend,
-                    "spec": json.dumps(
-                        encode_point(point), sort_keys=True
-                    ),
-                }
-                for seq, point in enumerate(filled)
-            ]
-        else:
-            filled = list(points)
-            rows = [
-                {
-                    "seq": seq,
-                    "fingerprint": point.fingerprint,
-                    "label": _label(point),
-                    "backend": point.backend,
-                    "spec": None,
-                }
-                for seq, point in enumerate(filled)
-            ]
+        filled = [
+            point if point.fingerprint else dataclasses.replace(
+                point, fingerprint=point_fingerprint(point)
+            )
+            for point in points
+        ]
+        rows = [
+            {
+                "seq": seq,
+                "fingerprint": point.fingerprint,
+                "label": _label(point),
+                "backend": point.backend,
+                "spec": json.dumps(encode_point(point), sort_keys=True),
+            }
+            for seq, point in enumerate(filled)
+        ]
         self._points = filled
         self.store.enqueue_points(self.job_id, rows)
         return filled
@@ -170,15 +153,12 @@ class ClaimSession:
         wall_seconds: Optional[float] = None,
         cache: Optional[str] = None,
     ) -> bool:
-        """Record one finished point (serialized for durable stores)."""
-        if self.store.durable:
-            from ..perf.cache import run_result_to_dict
+        """Record one finished point, its result serialized on the row."""
+        from ..perf.cache import run_result_to_dict
 
-            doc: Any = run_result_to_dict(result)
-        else:
-            doc = result
         return self.store.complete_point(
-            self.job_id, seq, self.worker_id, result_doc=doc,
+            self.job_id, seq, self.worker_id,
+            result_doc=run_result_to_dict(result),
             wall_seconds=wall_seconds, cache=cache,
         )
 
@@ -213,19 +193,13 @@ class ClaimSession:
             f"({revoked} revoked)"
         )
 
-    # ---- foreign-row resolution ---------------------------------------------
+    # ---- the consumer loop --------------------------------------------------
 
     def payload_from_row(self, row: Dict[str, Any], timed: bool = False):
         """A run_points-shaped payload from a DONE claim row."""
-        doc = row.get("result")
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        if isinstance(doc, dict):
-            from ..perf.cache import run_result_from_dict
+        from ..perf.cache import run_result_from_dict
 
-            result = run_result_from_dict(doc)
-        else:
-            result = doc  # the memory store holds the live object
+        result = run_result_from_dict(json.loads(row["result"]))
         if timed:
             return result, float(row.get("wall_seconds") or 0.0)
         return result
@@ -238,34 +212,34 @@ class ClaimSession:
         poll_seconds: float = 0.05,
         on_adopted: Optional[Callable[[int, Dict[str, Any]], None]] = None,
     ) -> None:
-        """Fill ``payloads`` for every seq another worker took.
+        """Fill ``payloads`` with every seq of the job: the consumer loop.
 
-        Adopts DONE rows (deserializing the stored result), re-claims
-        and runs anything whose lease expired (``runner(seq)`` must
-        complete the row and return the payload), raises on FAILED or
-        revoked rows, and polls while a live foreign worker holds a
-        fresh lease.
+        Claims one row at a time and runs it (``runner(seq)`` must
+        complete the row and return the payload), so concurrent
+        claimers interleave at point granularity and expired foreign
+        leases are reclaimed like PENDING rows.  Only when nothing is
+        claimable does it read the job's rows: DONE rows another worker
+        finished are adopted (the stored result deserialized, never
+        re-run), FAILED or revoked rows raise, and live foreign leases
+        are polled until they resolve or expire.
         """
         total = len(self._points)
-        while True:
-            missing = [s for s in range(total) if s not in payloads]
-            if not missing:
-                return
+        while len(payloads) < total:
             self.raise_if_cancelled()
-            progressed = False
-            for seq in self.claim():
-                payloads[seq] = runner(seq)
-                progressed = True
-            missing = [s for s in range(total) if s not in payloads]
-            if not missing:
-                return
+            claimed = self.claim(limit=1)
+            if claimed:
+                payloads[claimed[0]] = runner(claimed[0])
+                continue
             rows = {
                 row["seq"]: row
                 for row in self.store.point_rows(
                     self.job_id, with_result=True
                 )
             }
-            for seq in missing:
+            progressed = False
+            for seq in range(total):
+                if seq in payloads:
+                    continue
                 row = rows.get(seq)
                 if row is None:
                     raise RuntimeError(
@@ -357,7 +331,7 @@ class ClaimSession:
     # ---- lease heartbeat ----------------------------------------------------
 
     def _ensure_heartbeat(self) -> None:
-        if not self.store.durable or self._closed:
+        if self._closed:
             return
         if self._hb_thread is not None and self._hb_thread.is_alive():
             return
@@ -417,21 +391,17 @@ def session_for_points(
 
     The store is the first explicit ``ledger_path`` the points carry,
     else the process-wide :data:`LEDGER`'s database when enabled, else
-    an in-memory store (identical semantics, zero durability).
+    a private ``:memory:`` ledger (identical SQL, zero durability).
     """
     path = next(
         (p.ledger_path for p in points if p.ledger_path is not None), None
     )
     if path is None and LEDGER.enabled:
         path = LEDGER.path
-    if path is not None:
-        return ClaimSession(
-            RunLedger(path), job_id=job_id, cancel_check=cancel_check,
-            lease_seconds=lease_seconds, owns_store=True,
-        )
     return ClaimSession(
-        MemoryClaimStore(), job_id=job_id, cancel_check=cancel_check,
-        lease_seconds=lease_seconds,
+        RunLedger(":memory:" if path is None else path), job_id=job_id,
+        cancel_check=cancel_check, lease_seconds=lease_seconds,
+        owns_store=True,
     )
 
 

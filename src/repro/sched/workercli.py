@@ -140,8 +140,8 @@ def _run_row(store: RunLedger, worker: str, row: dict) -> bool:
     if not spec_doc:
         store.fail_point(
             job_id, seq, worker,
-            "claim row carries no spec document (enqueued by a "
-            "non-durable session?)",
+            "claim row carries no spec document to rebuild the "
+            "point from (not enqueued through a ClaimSession?)",
         )
         print(f"fail {label}: no spec document", file=sys.stderr)
         return False

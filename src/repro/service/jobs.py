@@ -6,10 +6,15 @@ becomes a :class:`Job` with a queue-assigned id; ``workers`` background
 threads drain the queue (``repro-serve --workers N``), each running its
 job as a claim consumer: the job's
 :class:`~repro.perf.parallel.SweepPoint` batch becomes PENDING rows of
-a claim store — the durable ledger when one is configured — and
+the claim table — in the durable ledger when one is configured, else
+in a private ``:memory:`` ledger — and
 :func:`~repro.perf.parallel.run_points` claims, dispatches, and records
 them under a :class:`~repro.sched.ClaimSession` wired to the job's
-cancel event.
+cancel event.  Every DONE row carries its cache verdict, whether the
+serial loop, the pool or an external worker ran it, so a job's cache
+counts are read from its own claim rows
+(:meth:`~repro.sched.ClaimSession.cache_verdicts`) and never mix in a
+concurrent job's traffic.
 
 The ledger being the source of truth is what makes jobs *restartable*:
 job rows (spec + lifecycle state) and point rows (per-point claims and
@@ -61,7 +66,7 @@ from ..obs.ledger import RunLedger, ledger_to
 from ..obs.metrics import METRICS
 from ..obs.progress import PROGRESS, tracking
 from ..perf.parallel import run_points
-from ..sched import ClaimSession, MemoryClaimStore, SweepCancelled
+from ..sched import ClaimSession, SweepCancelled
 from .spec import SweepSpec, point_rows, result_row
 
 
@@ -462,20 +467,19 @@ class JobQueue:
                         cm.__exit__(None, None, None)
 
     def _session_for(self, job: Job) -> ClaimSession:
-        store = self._ledger if self._ledger is not None else (
-            MemoryClaimStore()
-        )
         worker_id = (
             f"{platform.node()}:{os.getpid()}:"
             f"{threading.current_thread().name}"
         )
         return ClaimSession(
-            store,
+            self._ledger if self._ledger is not None
+            else RunLedger(":memory:"),
             job_id=job.job_id,
             worker_id=worker_id,
             cancel_check=lambda: (
                 job.cancel_event.is_set() or self._stop.is_set()
             ),
+            owns_store=self._ledger is None,
         )
 
     def _run_job(self, job: Job) -> None:
@@ -499,7 +503,10 @@ class JobQueue:
                 except SweepCancelled as exc:
                     cancelled = exc
             snapshot = session.progress_snapshot(job.started_at)
-            cache_counts = self._cache_counts(job, session)
+            try:
+                cache_counts = session.cache_verdicts()
+            except Exception:
+                cache_counts = {}  # accounting must never fail a job
         finally:
             with self._lock:
                 job.session = None
@@ -551,35 +558,6 @@ class JobQueue:
             })
         except Exception:
             pass  # lifecycle mirroring must never fail a request
-
-    def _cache_counts(
-        self, job: Job, session: ClaimSession
-    ) -> Dict[str, int]:
-        """Cache-verdict counts for one job's points.
-
-        The claim rows carry per-point verdicts when the serial
-        consumer (or an external worker) ran them; when every point
-        has one, that *is* the job's account.  Pool-dispatched points
-        carry no verdict, so the ledger's runs-table window is the
-        fallback.  Returns {} when nothing is available — accounting
-        must never fail a job.
-        """
-        try:
-            verdicts = session.cache_verdicts()
-        except Exception:
-            verdicts = {}
-        if job.points_total and (
-            sum(verdicts.values()) >= job.points_total
-        ):
-            return verdicts
-        if self.ledger_path is None or job.started_at is None:
-            return verdicts or {}
-        try:
-            return RunLedger(self.ledger_path).cache_counts(
-                since=job.started_at
-            )
-        except Exception:
-            return verdicts or {}
 
 
 __all__ = ["Job", "JobQueue", "JobState"]

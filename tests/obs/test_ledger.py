@@ -254,6 +254,53 @@ class TestConcurrentWriters:
         assert a.count() == b.count() == 50
         a.close(), b.close()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+    def test_fork_waits_for_an_open_transaction(self, tmp_path):
+        """A fork while another thread is inside a ledger transaction
+        waits for it to commit, so the child writes at once instead of
+        stalling on sqlite lock state copied from the parent (pool
+        workers are forked while queue threads use the ledger)."""
+        path = str(tmp_path / "fork.sqlite")
+        ledger = RunLedger(path)
+        ledger.count()  # connect and create the schema
+        inside, finish = threading.Event(), threading.Event()
+        children = []
+
+        def hold_transaction():
+            with ledger._txn():
+                inside.set()
+                finish.wait(10.0)
+
+        def fork_writer():
+            pid = os.fork()
+            if pid == 0:  # the child: one write, short busy timeout
+                code = 1
+                try:
+                    conn = sqlite3.connect(path, timeout=2.0)
+                    conn.execute(
+                        "INSERT INTO meta (key, value) VALUES ('child', '')"
+                    )
+                    conn.commit()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+
+        holder = threading.Thread(target=hold_transaction)
+        holder.start()
+        assert inside.wait(10.0)
+        forker = threading.Thread(target=fork_writer)
+        forker.start()
+        forker.join(0.5)
+        assert forker.is_alive(), "forked mid-transaction"
+        finish.set()
+        holder.join(10.0)
+        forker.join(10.0)
+        assert not holder.is_alive() and not forker.is_alive()
+        _, status = os.waitpid(children[0], 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        ledger.close()
+
 
 class TestReadBack:
     def seed(self, tmp_path):
@@ -321,10 +368,6 @@ class TestReadBack:
             })
         assert ledger.cache_counts() == {"hit": 3, "miss": 2,
                                          "uncached": 1}
-        # `since` keeps only rows stamped in the window (the service
-        # uses a job's started_at here)
-        assert ledger.cache_counts(since=2.0) == {"hit": 3, "uncached": 1}
-        assert ledger.cache_counts(since=99.0) == {}
 
     def test_schema_version_stamped(self, tmp_path):
         ledger = self.seed(tmp_path)
@@ -332,3 +375,31 @@ class TestReadBack:
             "SELECT value FROM meta WHERE key='schema'"
         ).fetchone()[0]
         assert value == str(LEDGER_SCHEMA)
+
+
+class TestDroppedRows:
+    def test_unusable_path_drops_the_row_not_the_point(self, tmp_path):
+        """A ledger path under a regular file cannot be opened
+        (``os.makedirs`` raises); the point still returns its result,
+        ``record_run`` returns None, and each dropped row is counted."""
+        from repro.harness.experiments import ExperimentContext
+        from repro.obs.metrics import collecting
+
+        expected = ExperimentContext(records=8).run(
+            "convert", MachineConfig.baseline()
+        )
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("file, not directory")
+        with ledger_to(blocker / "ledger.sqlite"):
+            with collecting() as metrics:
+                result = ExperimentContext(records=8).run(
+                    "convert", MachineConfig.baseline()
+                )
+                run_id = LEDGER.record_run(
+                    result, backend="grid", engine_core="array",
+                    wall_seconds=0.0,
+                )
+                dropped = metrics.counters.get("ledger.dropped_rows")
+        assert result == expected
+        assert run_id is None
+        assert dropped == 2  # the dispatch's row and the explicit one

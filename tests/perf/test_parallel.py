@@ -377,10 +377,11 @@ class TestWorkerPhaseAggregation:
 
     def test_phased_worker_returns_result_and_snapshot(self):
         point = sample_points()[0]
-        payload, snapshot = parallel_mod._pool_worker_phased(
-            point, timed=False
-        )
-        assert payload == simulate_point(point)
+        payload, snapshot = parallel_mod._pool_worker_phased(point)
+        result, seconds, verdict = payload
+        assert result == simulate_point(point)
+        assert seconds > 0.0
+        assert verdict == "uncached"
         assert "block_engine" in snapshot
         from repro.perf.phases import PHASES
 
@@ -410,4 +411,4 @@ class TestWorkerPhaseAggregation:
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", FakePool)
         run_points(sample_points(), jobs=3)
-        assert seen == [simulate_point]
+        assert seen == [parallel_mod.simulate_point_meta]

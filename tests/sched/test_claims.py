@@ -1,7 +1,8 @@
-"""Claim-table semantics, identical across both stores.
+"""Claim-table semantics on both kinds of ledger database.
 
-Every test here runs against the in-memory :class:`MemoryClaimStore`
-*and* the sqlite-backed ledger — the scheduler treats them
+Every test here runs against a private ``RunLedger(":memory:")`` — the
+store a session uses when no ledger is configured — *and* a
+file-backed ledger.  Both run the same SQL; the scheduler treats them
 interchangeably, so their claim behavior (atomicity, guarded
 transitions, lease expiry, revocation) must match exactly.
 """
@@ -18,13 +19,12 @@ from repro.obs.ledger import (
     POINT_PENDING,
     RunLedger,
 )
-from repro.sched import MemoryClaimStore
 
 
 @pytest.fixture(params=["memory", "ledger"])
 def store(request, tmp_path):
     if request.param == "memory":
-        s = MemoryClaimStore()
+        s = RunLedger(":memory:")
     else:
         s = RunLedger(str(tmp_path / "claims.sqlite"))
     yield s

@@ -15,7 +15,6 @@ from repro.obs.ledger import (
 from repro.perf import SweepPoint, run_points
 from repro.sched import (
     ClaimSession,
-    MemoryClaimStore,
     SweepCancelled,
     decode_point,
     encode_point,
@@ -67,14 +66,6 @@ class TestDurableSessions:
             p.fingerprint for p in filled
         ]
         assert all(r["spec"] for r in rows)
-        session.close()
-
-    def test_memory_sessions_skip_serialization(self):
-        session = ClaimSession(MemoryClaimStore(), job_id="job")
-        filled = session.enqueue(sample_points(n=2))
-        rows = session.store.point_rows("job", with_result=True)
-        assert all(r["spec"] is None for r in rows)
-        assert filled == sample_points(n=2)
         session.close()
 
 
@@ -150,9 +141,8 @@ class TestSourceOfTruth:
         from repro.perf.parallel import simulate_point
 
         points = sample_points(n=2)
-        store = (
-            RunLedger(str(tmp_path / "led.sqlite")) if durable
-            else MemoryClaimStore()
+        store = RunLedger(
+            str(tmp_path / "led.sqlite") if durable else ":memory:"
         )
         session = ClaimSession(store, job_id="truth", worker_id="author")
         session.enqueue(points)

@@ -185,3 +185,72 @@ class TestCacheReplay:
         assert warm.cache_counts == {"hit": warm.points_total}
         assert running_queue.results(cold.job_id) == \
             running_queue.results(warm.job_id)
+
+
+class TestCacheAccounting:
+    def test_concurrent_pool_jobs_count_only_their_own_points(
+        self, tmp_path, monkeypatch
+    ):
+        """Two jobs sweeping side by side through the pool path each
+        report exactly their own points: one miss per point cold, one
+        hit per point on resubmission — never a sibling's runs."""
+        from repro.perf import parallel as parallel_mod
+
+        mapped = []
+        one_at_a_time = threading.Lock()
+
+        class InThreadPool:
+            """The pool path without forking: two job threads would
+            otherwise fork workers while the sibling's threads hold
+            locks the children can inherit.  Points still run one at a
+            time, as they would in separate processes: the
+            process-global PHASES scope each dispatch opens is not
+            thread-safe."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                mapped.append(fn)
+                results = []
+                for item in items:
+                    with one_at_a_time:
+                        results.append(fn(item))
+                return results
+
+        # Single-CPU hosts clamp to one worker and never reach the
+        # pool; pin a multi-CPU view so both jobs dispatch through it.
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
+                            InThreadPool)
+        q = JobQueue(
+            cache_dir=str(tmp_path / "cache"),
+            ledger_path=str(tmp_path / "service_ledger.sqlite"),
+            jobs=2,
+            workers=2,
+        ).start()
+        # Disjoint point sets (different record counts), so neither
+        # job can replay the other's fresh cache entries.
+        specs = [
+            small_spec(configs=["baseline", "S", "S-O"], records=64),
+            small_spec(configs=["baseline", "S", "S-O", "M"], records=96),
+        ]
+        try:
+            for verdict in ("miss", "hit"):
+                ids = [q.submit(spec).job_id for spec in specs]
+                jobs = [wait_terminal(q, job_id) for job_id in ids]
+                assert [j.state for j in jobs] == [JobState.DONE] * 2
+                assert [j.points_total for j in jobs] == [3, 4]
+                for job in jobs:
+                    assert job.cache_counts == {verdict: job.points_total}
+                    assert q.status(job.job_id)["cache"] == \
+                        job.cache_counts
+        finally:
+            q.shutdown(wait=True, timeout=10.0)
+        assert len(mapped) == 4  # every job ran through the pool path
