@@ -1,10 +1,10 @@
-"""Shared ``--profile`` support for the harness CLIs.
+"""``--profile`` support for the harness CLI.
 
-Both ``repro-experiments`` and ``repro-bench`` accept ``--profile``,
-which wraps the work in :mod:`cProfile` and prints the top functions by
-cumulative time — enough to localize a hot-path regression without
-leaving the tool.  The report goes to stderr so piped stdout (rendered
-tables, JSON reports) stays clean.
+``repro-experiments`` accepts ``--profile``, which wraps the work in
+:mod:`cProfile` and prints the top functions by cumulative time —
+enough to localize a hot-path regression without leaving the tool.
+The report goes to stderr so piped stdout (the rendered tables) stays
+clean.
 """
 
 from __future__ import annotations

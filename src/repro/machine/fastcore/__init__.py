@@ -30,35 +30,13 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 #: Engine-core names :func:`set_engine_core` / :func:`using_core` accept.
 VALID_MODES = ("array", "object")
 
 #: Process-wide override; ``None`` defers to ``REPRO_ENGINE_CORE``.
 _MODE: Optional[str] = None
-
-#: Process-wide SoA lifecycle accounting: ``fused`` windows got their
-#: structure-of-arrays buffers straight from the template expansion,
-#: ``built`` windows were flattened from instance objects by
-#: ``dataflow_core.build_soa``, and ``reused`` counts engine runs that
-#: found the buffers already on the window.  Always on (three int
-#: increments); mirrored into :data:`repro.obs.metrics.METRICS` under
-#: ``fastcore.soa_*`` when metrics collection is enabled, and surfaced
-#: in ``repro-bench`` reports.
-SOA_COUNTERS: Dict[str, int] = {"fused": 0, "built": 0, "reused": 0}
-
-
-def soa_counters() -> Dict[str, int]:
-    """A snapshot copy of :data:`SOA_COUNTERS`."""
-    return dict(SOA_COUNTERS)
-
-
-def reset_soa_counters() -> None:
-    """Zero :data:`SOA_COUNTERS` (bench phases reset between runs)."""
-    for key in SOA_COUNTERS:
-        SOA_COUNTERS[key] = 0
-
 
 def _validate(mode: Optional[str]) -> None:
     if mode is not None and mode not in VALID_MODES:
@@ -108,11 +86,8 @@ def using_core(mode: Optional[str]) -> Iterator[None]:
 
 
 __all__ = [
-    "SOA_COUNTERS",
     "VALID_MODES",
     "active_core",
-    "reset_soa_counters",
     "set_engine_core",
-    "soa_counters",
     "using_core",
 ]

@@ -40,7 +40,6 @@ from ...check.sanitizer import SANITIZER
 from ...obs.metrics import METRICS
 from ...obs.trace import TRACE
 from ..stats import WindowTiming
-from . import SOA_COUNTERS
 
 
 class WindowSoA:
@@ -271,7 +270,6 @@ def build_soa(window) -> WindowSoA:
     rank_arr = np.empty(n, dtype=np.int64)
     rank_arr[order_arr] = np.arange(n)
     soa.rank_of = rank_arr.tolist()
-    SOA_COUNTERS["built"] += 1
     if METRICS.enabled:
         METRICS.inc("fastcore.soa_built")
     return soa
@@ -333,10 +331,8 @@ def run_array(engine) -> WindowTiming:
     if soa is None:
         soa = build_soa(window)
         window._fastcore_soa = soa
-    else:
-        SOA_COUNTERS["reused"] += 1
-        if METRICS.enabled:
-            METRICS.inc("fastcore.soa_reused")
+    elif METRICS.enabled:
+        METRICS.inc("fastcore.soa_reused")
 
     n = soa.n
     codes = soa.codes

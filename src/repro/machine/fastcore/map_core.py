@@ -342,7 +342,6 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     from ..mapping import (
         LDI, LMW, LOAD, LUT, STORE, _OUTPUT_REGION, _RECORD_REGION,
     )
-    from . import SOA_COUNTERS
     from .dataflow_core import (
         WindowSoA, _address_info, _route_tables, _wire_edges,
     )
@@ -550,7 +549,6 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     rank_arr = np.empty(n, dtype=np.int64)
     rank_arr[order_arr] = np.arange(n)
     soa.rank_of = rank_arr.tolist()
-    SOA_COUNTERS["fused"] += 1
     if METRICS.enabled:
         METRICS.inc("fastcore.soa_fused")
     window._fastcore_soa = soa

@@ -272,7 +272,10 @@ class RunLedger:
         backend: Optional[str] = None,
         kernel: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Run rows as dicts, newest first, JSON columns decoded."""
+        """Run rows as dicts, newest first, JSON columns decoded.
+
+        ``limit`` caps the row count; ``None`` or 0 returns every row.
+        """
         query = f'SELECT {", ".join(_quoted(c) for c in ROW_COLUMNS)} FROM runs'
         clauses, args = [], []
         if backend is not None:
@@ -284,7 +287,7 @@ class RunLedger:
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY created_at DESC, run_id"
-        if limit is not None:
+        if limit:
             query += " LIMIT ?"
             args.append(int(limit))
         with self._lock:
@@ -917,7 +920,7 @@ del _env_path
 def add_ledger_arguments(parser) -> None:
     """Attach the shared ``--ledger`` / ``--no-ledger`` CLI flags.
 
-    The CLIs (``repro-experiments``, ``repro-bench``) record by default:
+    The CLIs (``repro-experiments``, ``repro-serve``) record by default:
     ``--ledger PATH`` overrides the database, ``--no-ledger`` opts out,
     and with neither flag the path comes from ``$REPRO_LEDGER`` or
     :data:`DEFAULT_LEDGER`.  Pair with :func:`configure_from_args`.

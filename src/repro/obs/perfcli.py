@@ -1,18 +1,17 @@
 """Command-line entry point: ``repro-perf``.
 
 Reads the durable run ledger (:mod:`repro.obs.ledger`) back out and
-turns ``BENCH_perf.json`` from an overwritten snapshot into a real
-regression gate.  Subcommands:
+gates per-layer performance on the repository benchmark (``bench/``).
+Subcommands:
 
 * ``history`` — tidy, pandas-free table of ledger rows (newest first),
   filterable by backend/kernel;
 * ``diff RUN_A RUN_B`` — per-phase and per-metric deltas between two
   recorded runs (run-id prefixes are accepted);
-* ``regress --baseline BENCH_perf.json [--tolerance PCT]`` — measure a
-  fresh benchmark (or load one with ``--fresh``) and compare its phase
-  wall times against the committed baseline, exiting non-zero when any
-  phase regressed past the tolerance — a real perf gate for CI instead
-  of a fixed-budget tripwire;
+* ``regress BASELINE FRESH [--tolerance PCT]`` — compare two traced
+  ``bench/run.py --trace 1 --out`` documents workload by workload and
+  exit non-zero when any layer's self time (``*.self_s``) grew past the
+  tolerance; the committed ``bench_baseline.json`` is CI's baseline;
 * ``prune --keep-last N`` / ``--before DATE`` — trim old run rows (and
   the terminal claim/job rows that accompanied them) so the default-on
   ledger does not grow without bound; ``--dry-run`` reports what would
@@ -33,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .ledger import DEFAULT_LEDGER, LEDGER_ENV, RunLedger
 
-#: Phases whose baseline wall time is below this floor are reported but
+#: Layers whose baseline self time is below this floor are reported but
 #: never gated: at sub-50ms scale scheduler noise dominates any signal.
 MIN_GATE_SECONDS = 0.05
 
@@ -55,7 +54,7 @@ def _open_ledger(flag: Optional[str]) -> Optional[RunLedger]:
     if not os.path.exists(path):
         print(
             f"no ledger at {path} (set --ledger, $REPRO_LEDGER, or run "
-            f"repro-experiments/repro-bench first)",
+            f"repro-experiments first)",
             file=sys.stderr,
         )
         return None
@@ -193,48 +192,80 @@ def _diff(args: argparse.Namespace) -> int:
 # ---- regress ----------------------------------------------------------------
 
 
+def _load_bench_document(path: str) -> dict:
+    """A traced ``bench/run.py --out`` document with no failed operation.
+
+    Raises :class:`ValueError` saying what is wrong: the file cannot be
+    read, the run was not traced (it holds no layer times), or some
+    operation failed (its times measure a broken program).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not (isinstance(doc, dict) and doc.get("trace")
+            and isinstance(doc.get("workloads"), dict)):
+        raise ValueError(
+            f"{path} is not a traced bench document "
+            f"(write one with: python3 bench/run.py --trace 1 --out FILE)"
+        )
+    if doc.get("failed"):
+        raise ValueError(
+            f"{path} records {doc['failed']} failed operation(s); "
+            f"its layer times do not measure a correct run"
+        )
+    return doc
+
+
 def compare_reports(
     baseline: dict,
     fresh: dict,
     tolerance_pct: float,
     min_seconds: float = MIN_GATE_SECONDS,
 ) -> Tuple[List[str], List[str]]:
-    """Gate a fresh bench report against a baseline.
+    """Gate a fresh traced bench document against a baseline one.
 
-    Compares every phase in ``phases_seconds`` present in both reports.
-    Returns ``(log_lines, regressions)``; a phase regresses when its
-    fresh wall time exceeds baseline × (1 + tolerance/100) *and* the
-    baseline is above ``min_seconds`` (sub-noise phases are reported
-    but never gated).
+    Compares every ``*.self_s`` layer metric of every workload present
+    in both documents.  Returns ``(log_lines, regressions)``; a layer
+    regresses when its fresh self time exceeds baseline × (1 +
+    tolerance/100) *and* the baseline is at least ``min_seconds``
+    (sub-noise layers are reported but never gated).
     """
     lines: List[str] = []
     regressions: List[str] = []
-    base_phases = baseline.get("phases_seconds") or {}
-    fresh_phases = fresh.get("phases_seconds") or {}
-    shared = [name for name in base_phases if name in fresh_phases]
-    if not shared:
-        regressions.append(
-            "no comparable phases between baseline and fresh report"
-        )
-        return lines, regressions
+    base_loads, fresh_loads = baseline["workloads"], fresh["workloads"]
     factor = 1.0 + tolerance_pct / 100.0
-    for name in shared:
-        base, now = float(base_phases[name]), float(fresh_phases[name])
-        ratio = now / base if base > 0 else float("inf")
-        verdict = "ok"
-        if base < min_seconds:
-            verdict = "skipped (baseline below noise floor)"
-        elif now > base * factor:
-            verdict = "REGRESSION"
-            regressions.append(
-                f"{name}: {now:.3f}s vs baseline {base:.3f}s "
-                f"({ratio:.2f}x > {factor:.2f}x allowed)"
+    compared = 0
+    for workload, base_doc in base_loads.items():
+        if workload not in fresh_loads:
+            lines.append(f"  note: {workload} is not in the fresh document")
+            continue
+        fresh_metrics = fresh_loads[workload].get("metrics") or {}
+        for layer, base in (base_doc.get("metrics") or {}).items():
+            if not layer.endswith(".self_s") or layer not in fresh_metrics:
+                continue
+            compared += 1
+            base, now = float(base), float(fresh_metrics[layer])
+            ratio = now / base if base > 0 else float("inf")
+            verdict = "ok"
+            if base < min_seconds:
+                verdict = "skipped (baseline below noise floor)"
+            elif now > base * factor:
+                verdict = "REGRESSION"
+                regressions.append(
+                    f"{workload} {layer}: {now:.3f}s vs baseline "
+                    f"{base:.3f}s ({ratio:.2f}x > {factor:.2f}x allowed)"
+                )
+            lines.append(
+                f"  {workload:<13} {layer:<20} baseline {base:8.3f}s  "
+                f"fresh {now:8.3f}s  {ratio:6.2f}x  {verdict}"
             )
-        lines.append(
-            f"  {name:<15} baseline {base:8.3f}s  fresh {now:8.3f}s  "
-            f"{ratio:6.2f}x  {verdict}"
+    if not compared:
+        regressions.append(
+            "no comparable layers between baseline and fresh document"
         )
-    for key in ("records", "backend", "engine_core"):
+    for key in ("seed", "engine_core"):
         if baseline.get(key) != fresh.get(key):
             lines.append(
                 f"  note: {key} differs (baseline {baseline.get(key)!r}, "
@@ -243,43 +274,19 @@ def compare_reports(
     return lines, regressions
 
 
-def _fresh_report(args: argparse.Namespace, baseline: dict) -> dict:
-    """The report to gate: ``--fresh FILE`` or a newly measured bench.
-
-    A measured bench inherits the baseline's workload shape (records,
-    large-kernel records, backend) so the comparison is like-for-like;
-    ``--records`` overrides for quick smoke gates.
-    """
-    if args.fresh is not None:
-        with open(args.fresh, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    # Imported lazily: the harness imports repro.obs back.
-    from ..harness.bench import bench_experiments
-
-    records = args.records or int(baseline.get("records", 128))
-    return bench_experiments(
-        records=records,
-        large_kernel_records=max(16, records // 4),
-        jobs=1,
-        backend=str(baseline.get("backend", "grid")),
-        repeats=args.repeats,
-    )
-
-
 def _regress(args: argparse.Namespace) -> int:
     try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
+        baseline = _load_bench_document(args.baseline)
+        fresh = _load_bench_document(args.fresh)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    fresh = _fresh_report(args, baseline)
     lines, regressions = compare_reports(
         baseline, fresh, args.tolerance, min_seconds=args.min_seconds
     )
     print(
-        f"perf regression gate: baseline {args.baseline}, "
-        f"tolerance {args.tolerance:g}%"
+        f"perf regression gate: {args.fresh} against baseline "
+        f"{args.baseline}, tolerance {args.tolerance:g}%"
     )
     for line in lines:
         print(line)
@@ -288,7 +295,7 @@ def _regress(args: argparse.Namespace) -> int:
         for regression in regressions:
             print(f"REGRESSION: {regression}", file=sys.stderr)
         return 1
-    print("no phase regressed past tolerance")
+    print("no layer regressed past tolerance")
     return 0
 
 
@@ -338,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-perf",
         description=(
-            "Inspect the durable run ledger and gate performance "
-            "against the committed BENCH_perf.json baseline."
+            "Inspect the durable run ledger and gate per-layer "
+            "performance on traced bench/run.py documents."
         ),
     )
     parser.add_argument(
@@ -369,33 +376,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     regress = sub.add_parser(
         "regress",
-        help="measure a fresh bench and gate it against a baseline report",
+        help="gate a traced bench/run.py document against a baseline, "
+             "layer by layer",
     )
     regress.add_argument(
-        "--baseline", default="BENCH_perf.json", metavar="FILE",
-        help="committed baseline report (default BENCH_perf.json)",
+        "baseline", metavar="BASELINE",
+        help="baseline document of python3 bench/run.py --trace 1 --out "
+             "(the committed one is bench_baseline.json)",
+    )
+    regress.add_argument(
+        "fresh", metavar="FRESH", help="traced bench document to gate",
     )
     regress.add_argument(
         "--tolerance", type=float, default=25.0, metavar="PCT",
-        help="allowed slowdown per phase in percent (default 25)",
+        help="allowed growth of each layer's self time in percent "
+             "(default 25)",
     )
     regress.add_argument(
         "--min-seconds", type=float, default=MIN_GATE_SECONDS,
         metavar="S",
-        help="baseline phases shorter than this are never gated "
+        help="layers whose baseline self time is shorter are never gated "
              f"(default {MIN_GATE_SECONDS}s: sub-noise)",
-    )
-    regress.add_argument(
-        "--fresh", default=None, metavar="FILE",
-        help="gate this existing report instead of measuring a new bench",
-    )
-    regress.add_argument(
-        "--records", type=int, default=None, metavar="N",
-        help="records for the fresh bench (default: the baseline's)",
-    )
-    regress.add_argument(
-        "--repeats", type=int, default=1, metavar="N",
-        help="cold-phase repeats for the fresh bench (default 1)",
     )
 
     prune = sub.add_parser(

@@ -73,16 +73,6 @@ class CacheStats:
         """Fraction of lookups served from either tier (0.0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_dict(self) -> dict:
-        """Plain-dict view for reports (``BENCH_perf.json``)."""
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class RunCache:
     """Two-tier (memory + optional disk) content-addressed result cache."""

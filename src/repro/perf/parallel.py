@@ -243,10 +243,8 @@ class DispatchStats:
     points: int = 0
     workers: int = 1
     mode: str = "serial"
-    chunksize: int = 1
     wall_seconds: float = 0.0
     busy_seconds: float = 0.0
-    worker_phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def utilization(self) -> Optional[float]:
@@ -256,19 +254,6 @@ class DispatchStats:
                 1.0, self.busy_seconds / (self.workers * self.wall_seconds)
             )
         return None
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for reports (``BENCH_perf.json``)."""
-        return {
-            "points": self.points,
-            "workers": self.workers,
-            "mode": self.mode,
-            "chunksize": self.chunksize,
-            "wall_seconds": self.wall_seconds,
-            "busy_seconds": self.busy_seconds,
-            "utilization": self.utilization,
-            "worker_phase_seconds": dict(self.worker_phase_seconds),
-        }
 
 
 #: Dispatch accounting of the most recent :func:`run_points` call in
@@ -424,16 +409,11 @@ def run_points(
             else:
                 stats.mode = "pool"
                 stats.workers = workers
-                stats.chunksize = chunksize
                 for i, payload in zip(order, shuffled):
                     if want_phases:
                         payload, snapshot = payload
                         for name, elapsed in snapshot.items():
                             PHASES.add(name, elapsed)
-                            stats.worker_phase_seconds[name] = (
-                                stats.worker_phase_seconds.get(name, 0.0)
-                                + elapsed
-                            )
                     result, seconds, verdict = payload
                     session.complete(
                         i, result, wall_seconds=seconds, cache=verdict

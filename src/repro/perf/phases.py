@@ -1,11 +1,13 @@
 """Wall-clock phase accounting for the simulation pipeline.
 
-``repro-bench`` wants to attribute a sweep's wall time to the pipeline's
-phases — window **mapping** (placement + instance expansion, or a cache
-rebase), cycle-level **engine** simulation (block-style vs MIMD), and
-the MIMD **memory** interface traffic (record fetch + store drain, the
-part the batch APIs target) — so a hot-path regression can be localized
-without re-profiling.
+Attributes a point's wall time to the pipeline's phases — window
+**mapping** (placement + instance expansion, or a cache rebase),
+cycle-level **engine** simulation (block-style vs MIMD), and the MIMD
+**memory** interface traffic (record fetch + store drain, the part the
+batch APIs target) — so a hot-path regression can be localized without
+re-profiling.  Every ledgered point stores its split in its run-ledger
+row (``repro-perf diff`` compares two), and the traced benchmark
+(``bench/``) reads ``mimd_memory`` from it.
 
 The accumulator is a process-global, explicitly enabled instrument:
 when ``PHASES.enabled`` is False (the default) the instrumented code

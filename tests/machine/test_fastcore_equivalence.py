@@ -270,6 +270,47 @@ class TestLazyWindowExpansion:
         assert window.instances == fresh.instances
         assert window == fresh
 
+    def test_paper_sweep_never_builds_soa(self, monkeypatch):
+        """Every window of the Figure 5 / Table 4 / Table 6 sweep gets
+        its SoA fused by the template expansion; none is flattened from
+        instance objects by ``build_soa``.
+
+        A spy rather than the ``fastcore.soa_*`` METRICS counters: each
+        block run's cold pass runs under ``observability_paused()``, so
+        a ``build_soa`` there would never reach METRICS.
+        """
+        from repro.harness import experiments
+        from repro.machine.fastcore import dataflow_core
+        from repro.machine.window_cache import SHARED_WINDOW_CACHE
+
+        builds, windows = [], []
+        build_soa = dataflow_core.build_soa
+        get_or_map = SHARED_WINDOW_CACHE.get_or_map
+
+        def counting_build_soa(window):
+            builds.append(window)
+            return build_soa(window)
+
+        def recording_get_or_map(*args, **kwargs):
+            window = get_or_map(*args, **kwargs)
+            windows.append(window)
+            return window
+
+        monkeypatch.setattr(dataflow_core, "build_soa", counting_build_soa)
+        monkeypatch.setattr(SHARED_WINDOW_CACHE, "get_or_map",
+                            recording_get_or_map)
+        SHARED_WINDOW_CACHE.clear()
+        ctx = experiments.ExperimentContext(records=32,
+                                            large_kernel_records=16)
+        with using_core("array"):
+            experiments.figure5(ctx)
+            experiments.table4(ctx)
+            experiments.table6(ctx)
+        assert windows
+        assert all(getattr(w, "_fastcore_soa", None) is not None
+                   for w in windows)
+        assert builds == []
+
 
 def mimd_pair(name, config, records):
     """Run one MIMD point under each core; returns (fast engine,

@@ -1,6 +1,8 @@
 """The ``repro-perf`` CLI: history, diff and the regression gate."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,12 @@ class TestHistory:
                              "--kernel", "fft"]) == 0
         out = capsys.readouterr().out
         assert "fft" in out and "convert" not in out
+
+    def test_limit_zero_shows_every_run(self, populated_ledger, capsys):
+        db, run_ids = populated_ledger
+        assert perfcli.main(["--ledger", db, "history",
+                             "--limit", "0"]) == 0
+        assert f"{len(run_ids)} row(s) shown" in capsys.readouterr().out
 
     def test_missing_ledger_fails(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.sqlite")
@@ -105,16 +113,22 @@ class TestDiff:
         assert "run diff" in capsys.readouterr().out
 
 
-def report(**overrides):
+#: The committed traced bench document CI gates against.
+BASELINE = Path(__file__).resolve().parents[2] / "bench_baseline.json"
+
+
+def report(layers=None, **overrides):
+    """A traced ``bench/run.py --out`` document with one workload."""
+    metrics = {
+        "mimd_engine.self_s": 1.0,
+        "harness.self_s": 0.002,  # below the noise floor
+        "mimd_engine.calls": 26.0,  # a count, never gated
+    }
+    metrics.update(layers or {})
     doc = {
-        "schema": 1,
-        "records": 128,
-        "backend": "grid",
-        "engine_core": "array",
-        "phases_seconds": {
-            "cold_serial": 1.0,
-            "warm_memory": 0.002,  # below the noise floor
-        },
+        "seed": 0, "seconds": 22, "trace": True, "engine_core": "array",
+        "attempted": 100, "failed": 0, "failures": [],
+        "workloads": {"paper_sweep": {"metrics": metrics}},
     }
     doc.update(overrides)
     return doc
@@ -122,69 +136,116 @@ def report(**overrides):
 
 class TestCompareReports:
     def test_within_tolerance_passes(self):
-        fresh = report(phases_seconds={"cold_serial": 1.1,
-                                       "warm_memory": 0.002})
+        fresh = report({"mimd_engine.self_s": 1.1})
         _, regressions = perfcli.compare_reports(report(), fresh, 25.0)
         assert regressions == []
 
     def test_regression_detected(self):
-        fresh = report(phases_seconds={"cold_serial": 2.0,
-                                       "warm_memory": 0.002})
+        fresh = report({"mimd_engine.self_s": 2.0, "mimd_engine.calls": 99})
         _, regressions = perfcli.compare_reports(report(), fresh, 25.0)
         assert len(regressions) == 1
-        assert "cold_serial" in regressions[0]
+        assert regressions[0].startswith("paper_sweep mimd_engine.self_s:")
 
     def test_noise_floor_skips_tiny_phases(self):
-        """A 10x blowup of a 2ms phase is scheduler noise, not signal."""
-        fresh = report(phases_seconds={"cold_serial": 1.0,
-                                       "warm_memory": 0.02})
-        lines, regressions = perfcli.compare_reports(report(), fresh, 25.0)
-        assert regressions == []
-        assert any("noise floor" in line for line in lines)
+        """A 10x blowup of a layer under 50 ms is scheduler noise, not
+        signal; a 50 ms layer is gated."""
+        base = report({"harness.self_s": 0.049, "cache.self_s": 0.05})
+        fresh = report({"harness.self_s": 0.49, "cache.self_s": 0.5})
+        lines, regressions = perfcli.compare_reports(base, fresh, 25.0)
+        assert [r.split(":")[0] for r in regressions] == [
+            "paper_sweep cache.self_s"
+        ]
+        assert any("harness.self_s" in line and "noise floor" in line
+                   for line in lines)
 
     def test_no_shared_phases_is_a_failure(self):
-        fresh = report(phases_seconds={"other": 1.0})
-        _, regressions = perfcli.compare_reports(report(), fresh, 25.0)
-        assert regressions and "no comparable phases" in regressions[0]
+        fresh = report(workloads={"service_mix": {"metrics": {
+            "mimd_engine.self_s": 1.0,
+        }}})
+        lines, regressions = perfcli.compare_reports(report(), fresh, 25.0)
+        assert regressions and "no comparable layers" in regressions[0]
+        assert any("paper_sweep is not in the fresh document" in line
+                   for line in lines)
 
     def test_workload_mismatch_noted(self):
         lines, _ = perfcli.compare_reports(
-            report(), report(records=32), 25.0
+            report(), report(engine_core="object"), 25.0
         )
-        assert any("records differs" in line for line in lines)
+        assert any("engine_core differs" in line for line in lines)
+
+
+def regress(tmp_path, baseline, fresh, *flags):
+    """Run ``repro-perf regress`` on two documents written to files."""
+    paths = []
+    for name, doc in (("base.json", baseline), ("fresh.json", fresh)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return perfcli.main(["regress", *paths, *flags])
 
 
 class TestRegressCommand:
     def test_identical_reports_pass(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(report()))
-        code = perfcli.main([
-            "regress", "--baseline", str(baseline),
-            "--fresh", str(baseline), "--tolerance", "10",
-        ])
-        assert code == 0
-        assert "no phase regressed" in capsys.readouterr().out
+        assert regress(tmp_path, report(), report(),
+                       "--tolerance", "10") == 0
+        assert "no layer regressed" in capsys.readouterr().out
 
     def test_slow_fresh_report_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps(report()))
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(
-            report(phases_seconds={"cold_serial": 3.0})
-        ))
-        code = perfcli.main([
-            "regress", "--baseline", str(baseline),
-            "--fresh", str(slow), "--tolerance", "25",
-        ])
-        assert code == 1
-        assert "REGRESSION: cold_serial" in capsys.readouterr().err
+        slow = report({"mimd_engine.self_s": 3.0})
+        assert regress(tmp_path, report(), slow, "--tolerance", "25") == 1
+        assert "REGRESSION: paper_sweep mimd_engine.self_s" in (
+            capsys.readouterr().err
+        )
+
+    def test_min_seconds_raises_the_floor(self, tmp_path):
+        slow = report({"mimd_engine.self_s": 3.0})
+        assert regress(tmp_path, report(), slow,
+                       "--min-seconds", "1.5") == 0
 
     def test_missing_baseline_fails(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(report()))
         code = perfcli.main([
-            "regress", "--baseline", str(tmp_path / "nope.json"),
+            "regress", str(tmp_path / "nope.json"), str(fresh),
         ])
         assert code == 2
-        assert "cannot read baseline" in capsys.readouterr().err
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_untraced_document_fails(self, tmp_path, capsys):
+        untraced = report(trace=False)
+        assert regress(tmp_path, report(), untraced) == 2
+        assert "not a traced bench document" in capsys.readouterr().err
+
+    def test_failed_run_fails(self, tmp_path, capsys):
+        broken = report(failed=3, failures=["3 failed digest"])
+        assert regress(tmp_path, broken, report()) == 2
+        assert "3 failed operation(s)" in capsys.readouterr().err
+
+    def test_committed_baseline_passes_against_itself(self, capsys):
+        code = perfcli.main(["regress", str(BASELINE), str(BASELINE)])
+        assert code == 0
+        assert "no layer regressed" in capsys.readouterr().out
+
+    def test_committed_baseline_gates_every_layer_over_the_floor(
+            self, tmp_path, capsys):
+        """Doubling any one layer of 50 ms or more fails the gate and
+        names that workload and layer."""
+        baseline = json.loads(BASELINE.read_text())
+        gated = [
+            (workload, layer)
+            for workload, doc in baseline["workloads"].items()
+            for layer, seconds in doc["metrics"].items()
+            if layer.endswith(".self_s")
+            and seconds >= perfcli.MIN_GATE_SECONDS
+        ]
+        assert gated
+        for workload, layer in gated:
+            fresh = copy.deepcopy(baseline)
+            fresh["workloads"][workload]["metrics"][layer] *= 2
+            assert regress(tmp_path, baseline, fresh) == 1, layer
+            err = capsys.readouterr().err
+            assert f"REGRESSION: {workload} {layer}:" in err
+            assert err.count("REGRESSION") == 1
 
 
 class TestPruneCommand:

@@ -41,7 +41,6 @@ class TestMemoryTier:
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
         assert cache.stats.hit_rate == 2 / 3
-        assert cache.stats.as_dict()["hit_rate"] == 2 / 3
 
 
 class TestDiskTier:
