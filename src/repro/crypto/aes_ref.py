@@ -1,11 +1,12 @@
 """Reference AES-128 (Rijndael) — substrate for the rijndael kernel.
 
 Everything is derived from first principles: the S-box from the GF(2^8)
-multiplicative inverse plus the affine transform, the four round
-T-tables from the S-box (the table-lookup formulation the paper's
-rijndael kernel uses — 4 x 256 = 1024 indexed constants, Table 2), and
-the standard AES-128 key schedule.  Validated against the FIPS-197
-example vector in the test suite.
+multiplicative inverse (read off log/antilog tables of the generator 3)
+plus the affine transform, the four round T-tables from the S-box (the
+table-lookup formulation the paper's rijndael kernel uses — 4 x 256 =
+1024 indexed constants, Table 2), and the standard AES-128 key
+schedule.  Validated against the FIPS-197 example vector in the test
+suite.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ def gf_mul(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def sbox() -> Tuple[int, ...]:
     """The AES S-box, computed (not transcribed)."""
-    # Multiplicative inverses via brute force (the domain is 256 elements).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    # Multiplicative inverses from log/antilog tables: 3 generates the
+    # 255 nonzero elements, so x = 3^i has inverse 3^(255 - i).
+    antilog = [0] * 255
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        antilog[i] = x
+        log[x] = i
+        x = gf_mul(x, 3)
+    inverse = [0] + [antilog[-log[x] % 255] for x in range(1, 256)]
     table = []
     for x in range(256):
         b = inverse[x]

@@ -22,6 +22,11 @@ from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.graphics import ANISO_MAX_TAPS, anisotropic_records
 from ._shader_alg import BuilderAlg, FloatAlg, make_texture
 
+NAME = "anisotropic-filter"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = ("A fragment shader implementing anisotropic texture "
+               "filtering.")
+
 TEX_SIZE = 64
 TEXTURE = make_texture("anisotropic/tex", TEX_SIZE * TEX_SIZE)
 #: 128-entry Gaussian weight table (the kernel's indexed constants)
@@ -63,9 +68,8 @@ def _shade(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "anisotropic-filter", Domain.GRAPHICS, record_in=9, record_out=1,
-        description=("A fragment shader implementing anisotropic texture "
-                     "filtering."),
+        NAME, DOMAIN, record_in=9, record_out=1,
+        description=DESCRIPTION,
     )
     alg = BuilderAlg(b)
     alg.register_space("tex", TEXTURE)

@@ -18,6 +18,10 @@ from ..crypto.blowfish_ref import ROUNDS, Blowfish
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.packets import packet_block_records, packet_stream
 
+NAME = "blowfish"
+DOMAIN = Domain.NETWORK
+DESCRIPTION = "Blowfish packet encryption."
+
 DEFAULT_KEY = bytes.fromhex("0123456789abcdeff0e1d2c3b4a59687")
 
 _cipher_cache = {}
@@ -34,8 +38,8 @@ def build_kernel(key: bytes = DEFAULT_KEY) -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     bf = cipher(key)
     b = KernelBuilder(
-        "blowfish", Domain.NETWORK, record_in=1, record_out=1,
-        description="Blowfish packet encryption.",
+        NAME, DOMAIN, record_in=1, record_out=1,
+        description=DESCRIPTION,
     )
     sboxes = [b.table(bf.S[i]) for i in range(4)]
     p = [b.const(bf.P[i], f"P{i}") for i in range(18)]

@@ -13,6 +13,10 @@ from typing import List, Sequence
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.images import rgb_pixels
 
+NAME = "convert"
+DOMAIN = Domain.MULTIMEDIA
+DESCRIPTION = "RGB to YIQ conversion."
+
 #: The standard RGB -> YIQ transform.
 COEFFS = (
     (0.299, 0.587, 0.114),
@@ -24,8 +28,8 @@ COEFFS = (
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "convert", Domain.MULTIMEDIA, record_in=3, record_out=3,
-        description="RGB to YIQ conversion.",
+        NAME, DOMAIN, record_in=3, record_out=3,
+        description=DESCRIPTION,
     )
     r, g, bl = b.inputs()
     for row_index, row in enumerate(COEFFS):

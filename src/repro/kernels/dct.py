@@ -21,6 +21,10 @@ from typing import List, Sequence
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.images import image_blocks_8x8
 
+NAME = "dct"
+DOMAIN = Domain.MULTIMEDIA
+DESCRIPTION = "A 2D DCT of an 8x8 image block."
+
 N = 8
 LOOP_TRIPS = 2 * N  # 8 column transforms + 8 row transforms
 
@@ -50,8 +54,8 @@ def _dct_1d(b: KernelBuilder, values: List) -> List:
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "dct", Domain.MULTIMEDIA, record_in=64, record_out=64,
-        description="A 2D DCT of an 8x8 image block.",
+        NAME, DOMAIN, record_in=64, record_out=64,
+        description=DESCRIPTION,
     )
     block = b.inputs()
     # Column transforms.

@@ -19,12 +19,16 @@ from ..workloads.matrices import (
     fft_input,
 )
 
+NAME = "fft"
+DOMAIN = Domain.SCIENTIFIC
+DESCRIPTION = "1024-point complex FFT."
+
 
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "fft", Domain.SCIENTIFIC, record_in=6, record_out=4,
-        description="1024-point complex FFT.",
+        NAME, DOMAIN, record_in=6, record_out=4,
+        description=DESCRIPTION,
     )
     ar, ai, br, bi, wr, wi = b.inputs()
     # t = w * b (complex multiply)

@@ -14,6 +14,11 @@ from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.graphics import reflection_fragment_records
 from ._shader_alg import BuilderAlg, FloatAlg, dot3, make_texture, normalize3
 
+NAME = "fragment-reflection"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = ("Fragment shader rendering a reflective surface "
+               "using cube maps.")
+
 FACE_SIZE = 32  # each cube face is 32x32 luminance
 CUBE_TEXTURE = make_texture("fragment-reflection/cube", 6 * FACE_SIZE * FACE_SIZE)
 FRESNEL_BIAS = 0.1
@@ -91,9 +96,8 @@ def _shade(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "fragment-reflection", Domain.GRAPHICS, record_in=5, record_out=3,
-        description=("Fragment shader rendering a reflective surface "
-                     "using cube maps."),
+        NAME, DOMAIN, record_in=5, record_out=3,
+        description=DESCRIPTION,
     )
     for value in _shade(BuilderAlg(b), b.inputs()):
         b.output(value)

@@ -22,6 +22,11 @@ from ._shader_alg import (
     normalize3,
 )
 
+NAME = "fragment-simple"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = ("Basic fragment lighting with ambient, diffuse, "
+               "specular and emissive lighting.")
+
 TEX_SIZE = 64  # 64x64 single-channel luminance texture
 TEXTURE = make_texture("fragment-simple/tex", TEX_SIZE * TEX_SIZE)
 LIGHT_DIR = make_unit("fragment-simple/light")
@@ -90,9 +95,8 @@ def _shade(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "fragment-simple", Domain.GRAPHICS, record_in=8, record_out=4,
-        description=("Basic fragment lighting with ambient, diffuse, "
-                     "specular and emissive lighting."),
+        NAME, DOMAIN, record_in=8, record_out=4,
+        description=DESCRIPTION,
     )
     for value in _shade(BuilderAlg(b), b.inputs()):
         b.output(value)

@@ -12,6 +12,10 @@ from typing import List, Sequence
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.images import neighborhood_records
 
+NAME = "highpassfilter"
+DOMAIN = Domain.MULTIMEDIA
+DESCRIPTION = "A 2D high pass filter."
+
 #: 3x3 high-pass taps (row-major).
 TAPS = (
     -1.0, -1.0, -1.0,
@@ -23,8 +27,8 @@ TAPS = (
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "highpassfilter", Domain.MULTIMEDIA, record_in=9, record_out=1,
-        description="A 2D high pass filter.",
+        NAME, DOMAIN, record_in=9, record_out=1,
+        description=DESCRIPTION,
     )
     pixels = b.inputs()
     products = [

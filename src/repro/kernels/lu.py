@@ -20,14 +20,18 @@ from typing import List, Sequence, Tuple
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.matrices import lu_matrix, lu_update_records
 
+NAME = "lu"
+DOMAIN = Domain.SCIENTIFIC
+DESCRIPTION = "LU decomposition of a dense 1024x1024 matrix."
+
 DEFAULT_MULTIPLIER = 0.37519
 
 
 def build_kernel(multiplier: float = DEFAULT_MULTIPLIER) -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "lu", Domain.SCIENTIFIC, record_in=2, record_out=1,
-        description="LU decomposition of a dense 1024x1024 matrix.",
+        NAME, DOMAIN, record_in=2, record_out=1,
+        description=DESCRIPTION,
     )
     a_ij, a_kj = b.inputs()
     b.output(b.fsub(a_ij, b.fmul(b.imm(multiplier), a_kj)))

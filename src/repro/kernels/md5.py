@@ -20,12 +20,16 @@ from ..crypto.md5_ref import MASK32, SHIFTS, compress, message_index, sine_table
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.packets import md5_block_records, packet_stream
 
+NAME = "md5"
+DOMAIN = Domain.NETWORK
+DESCRIPTION = "MD5 checksum."
+
 
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "md5", Domain.NETWORK, record_in=10, record_out=2,
-        description="MD5 checksum.",
+        NAME, DOMAIN, record_in=10, record_out=2,
+        description=DESCRIPTION,
     )
     packed = b.inputs()
     # Unpack 16 message words and the 4 state words.

@@ -4,12 +4,18 @@ Each entry bundles the kernel generator, its workload generator, its
 independent per-record reference, and the attribute row the paper
 reports, so the characterization experiments can print measured-vs-paper
 side by side.
+
+A spec is metadata only: :func:`registry` builds no kernel.  Each
+module declares its ``NAME``, ``DOMAIN`` and ``DESCRIPTION``, and
+:meth:`KernelSpec.kernel` builds a kernel the first time anything asks
+for it, once per process.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..isa import Domain, Kernel
@@ -47,6 +53,21 @@ class PaperAttributes:
     loop_bound: Optional[str]  # None, "16", "10", "Variable"
 
 
+#: Built kernels by name, filled by :meth:`KernelSpec.kernel`.
+_KERNELS: Dict[str, Kernel] = {}
+
+#: Guards the registry and every kernel build, so threads sharing a
+#: process (``repro-serve --workers N``) never build a kernel twice.
+#: Held across ``fork()`` so a child never inherits it mid-build.
+_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_LOCK.acquire,
+        after_in_parent=_LOCK.release,
+        after_in_child=_LOCK.release,
+    )
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A benchmark: builders, workload, reference and paper ground truth."""
@@ -64,16 +85,22 @@ class KernelSpec:
     in_performance_suite: bool = True
 
     def kernel(self) -> Kernel:
-        return _cached_kernel(self.name)
+        """The built kernel, constructed on first use, once per process."""
+        kernel = _KERNELS.get(self.name)
+        if kernel is None:
+            with _LOCK:
+                kernel = _KERNELS.get(self.name)
+                if kernel is None:
+                    kernel = _KERNELS[self.name] = self.build()
+        return kernel
 
 
 def _spec(module, paper: PaperAttributes, floating: bool = True,
           in_performance_suite: bool = True) -> KernelSpec:
-    kernel = module.build_kernel()  # build once to harvest metadata
     return KernelSpec(
-        name=kernel.name,
-        domain=kernel.domain,
-        description=kernel.description,
+        name=module.NAME,
+        domain=module.DOMAIN,
+        description=module.DESCRIPTION,
         build=module.build_kernel,
         workload=module.workload,
         reference=module.reference,
@@ -117,16 +144,13 @@ _REGISTRY: Optional[Dict[str, KernelSpec]] = None
 
 
 def registry() -> Dict[str, KernelSpec]:
-    """The benchmark registry, built once and cached."""
+    """The benchmark registry, created once; it builds no kernel."""
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = _build_registry()
+        with _LOCK:
+            if _REGISTRY is None:
+                _REGISTRY = _build_registry()
     return _REGISTRY
-
-
-@lru_cache(maxsize=None)
-def _cached_kernel(name: str) -> Kernel:
-    return registry()[name].build()
 
 
 def all_specs(performance_only: bool = False) -> List[KernelSpec]:
@@ -148,8 +172,8 @@ def spec(name: str) -> KernelSpec:
 
 
 def kernel(name: str) -> Kernel:
-    """Build (and cache) the named benchmark's kernel."""
-    return _cached_kernel(name)
+    """The named benchmark's kernel (see :meth:`KernelSpec.kernel`)."""
+    return spec(name).kernel()
 
 
 #: Names grouped by domain, in the paper's Table 1 order.

@@ -19,6 +19,10 @@ from ..crypto.aes_ref import encrypt_block_words, expand_key_128, t_tables
 from ..isa import Domain, Kernel, KernelBuilder
 from ..workloads.packets import packet_block_records, packet_stream
 
+NAME = "rijndael"
+DOMAIN = Domain.NETWORK
+DESCRIPTION = "Rijndael (AES) packet encryption."
+
 DEFAULT_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 ROUNDS = 10
@@ -29,8 +33,8 @@ def build_kernel(key: bytes = DEFAULT_KEY) -> Kernel:
     round_keys = expand_key_128(key)
     t0, t1, t2, t3 = t_tables()
     b = KernelBuilder(
-        "rijndael", Domain.NETWORK, record_in=2, record_out=2,
-        description="Rijndael (AES) packet encryption.",
+        NAME, DOMAIN, record_in=2, record_out=2,
+        description=DESCRIPTION,
     )
     tabs = [b.table(t) for t in (t0, t1, t2, t3)]
     rk = [b.const(round_keys[i], f"rk{i}") for i in range(44)]

@@ -24,6 +24,10 @@ from ._shader_alg import (
     normalize3,
 )
 
+NAME = "vertex-reflection"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = "Vertex shader for a reflective surface."
+
 MODELVIEW_ROWS = make_matrix34("vertex-reflection/modelview")
 NORMAL_ROWS = make_matrix33("vertex-reflection/normal")
 PROJ_ROWS = make_matrix34("vertex-reflection/proj")
@@ -70,8 +74,8 @@ def _shade(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "vertex-reflection", Domain.GRAPHICS, record_in=9, record_out=2,
-        description="Vertex shader for a reflective surface.",
+        NAME, DOMAIN, record_in=9, record_out=2,
+        description=DESCRIPTION,
     )
     for value in _shade(BuilderAlg(b), b.inputs()):
         b.output(value)

@@ -26,6 +26,11 @@ from ._shader_alg import (
     normalize3,
 )
 
+NAME = "vertex-simple"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = ("Basic vertex lighting with ambient, diffuse, "
+               "specular and emissive lighting.")
+
 MVP_ROWS = make_matrix34("vertex-simple/mvp")
 NORMAL_ROWS = make_matrix33("vertex-simple/normal")
 LIGHT_DIR = make_unit("vertex-simple/light")
@@ -80,9 +85,8 @@ def _shade(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "vertex-simple", Domain.GRAPHICS, record_in=7, record_out=6,
-        description=("Basic vertex lighting with ambient, diffuse, "
-                     "specular and emissive lighting."),
+        NAME, DOMAIN, record_in=7, record_out=6,
+        description=DESCRIPTION,
     )
     outputs = _shade(BuilderAlg(b), b.inputs())
     for value in outputs:

@@ -26,6 +26,11 @@ from ..workloads.graphics import (
 )
 from ._shader_alg import BuilderAlg, FloatAlg, make_matrix34, scene_rng
 
+NAME = "vertex-skinning"
+DOMAIN = Domain.GRAPHICS
+DESCRIPTION = ("A vertex shader used for animation with multiple "
+               "transformation matrices.")
+
 #: palette of 3x4 bone matrices flattened row-major: 24 x 12 = 288 entries
 PALETTE: List[float] = []
 for _m in range(SKINNING_PALETTE_MATRICES):
@@ -118,9 +123,8 @@ def _shade_straightline(alg, record):
 def build_kernel() -> Kernel:
     """Construct the kernel's dataflow graph (see module docstring)."""
     b = KernelBuilder(
-        "vertex-skinning", Domain.GRAPHICS, record_in=16, record_out=9,
-        description=("A vertex shader used for animation with multiple "
-                     "transformation matrices."),
+        NAME, DOMAIN, record_in=16, record_out=9,
+        description=DESCRIPTION,
     )
     alg = BuilderAlg(b)
     alg.register_table("palette", PALETTE)

@@ -96,6 +96,15 @@ class SweepPoint:
     engine_core: Optional[str] = None
     fingerprint: Optional[str] = field(default=None, compare=False)
 
+    def workload(self) -> list:
+        """The point's record stream, regenerated from its size and seed."""
+        from ..kernels.registry import spec
+
+        s = spec(self.kernel)
+        if self.workload_seed is None:
+            return s.workload(self.records)
+        return s.workload(self.records, self.workload_seed)
+
 
 #: Thread-local out-param slot for :func:`simulate_point_meta`.  The
 #: meta wrapper must call :func:`simulate_point` through its *module
@@ -134,7 +143,9 @@ def _simulate_pinned(
 
     When ``meta`` is a dict, ``meta["cache"]`` is set to the point's
     cache verdict (``"hit"``/``"miss"``/``"uncached"``) — what the
-    claim consumers record on the DONE row.
+    claim consumers record on the DONE row.  The kernel and records are
+    built only when the fingerprint must be computed or the point is
+    simulated: a cache hit on a precomputed fingerprint builds nothing.
     """
     # Lazy imports: repro.backends imports this package back (for the
     # fingerprint helpers), so resolving at call time avoids the cycle.
@@ -146,12 +157,8 @@ def _simulate_pinned(
         # so fan-out rows land in the same database as serial runs.
         LEDGER.configure(point.ledger_path, mirror_env=False)
     s = spec(point.kernel)
-    if point.workload_seed is None:
-        records = s.workload(point.records)
-    else:
-        records = s.workload(point.records, point.workload_seed)
-    kernel = s.kernel()
     backend = get(point.backend)
+    records = None
     cache = None
     fp = None
     if point.cache_dir is not None:
@@ -161,8 +168,9 @@ def _simulate_pinned(
         cache = RunCache(point.cache_dir)
         fp = point.fingerprint
         if fp is None:
+            records = point.workload()
             fp = run_fingerprint(
-                kernel, point.config, point.params, records,
+                s.kernel(), point.config, point.params, records,
                 backend=backend.fingerprint_part(),
             )
         cached = cache.get(fp)
@@ -183,8 +191,10 @@ def _simulate_pinned(
             return cached
     if meta is not None:
         meta["cache"] = "miss" if fp is not None else "uncached"
+    if records is None:
+        records = point.workload()
     result = dispatch(
-        backend, kernel, records, point.config, point.params,
+        backend, s.kernel(), records, point.config, point.params,
         fingerprint=fp, cache_status="miss" if fp is not None else None,
     )
     if cache is not None:

@@ -11,7 +11,12 @@ configured a session runs the same SQL on a private ``:memory:``
 database.
 """
 
-from .codec import decode_point, encode_point, point_fingerprint
+from .codec import (
+    decode_point,
+    encode_point,
+    point_fingerprint,
+    point_fingerprints,
+)
 from .scheduler import (
     DEFAULT_LEASE_SECONDS,
     ClaimSession,
@@ -28,5 +33,6 @@ __all__ = [
     "default_worker_id",
     "encode_point",
     "point_fingerprint",
+    "point_fingerprints",
     "session_for_points",
 ]

@@ -9,7 +9,7 @@ document.  The only field needing care is
 by :class:`~repro.isa.opcodes.OpClass`; it round-trips through the
 enum *names*.
 
-:func:`point_fingerprint` computes the same content address
+:func:`point_fingerprints` computes the same content addresses
 :func:`~repro.perf.parallel.simulate_point` would (including the
 ``engine_core`` pinning rule), so claim rows are keyed by fingerprint
 before any worker touches them.
@@ -18,7 +18,7 @@ before any worker touches them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def encode_point(point) -> Dict[str, Any]:
@@ -67,37 +67,57 @@ def decode_point(doc: Dict[str, Any], fingerprint: Optional[str] = None):
     )
 
 
-def point_fingerprint(point) -> str:
-    """The content address the point's simulation will run under.
+def point_fingerprints(points) -> List[str]:
+    """The content addresses a batch of points will simulate under.
 
-    Byte-identical to what :func:`simulate_point` computes: the
-    workload is rebuilt from (records, seed), the backend part comes
-    from the registry, and a pinned ``engine_core`` scopes the hash
-    exactly like the simulation itself.
+    Byte-identical, point by point, to what :func:`simulate_point`
+    computes: the workload is rebuilt from (records, seed), the backend
+    part comes from the registry, and a pinned ``engine_core`` is folded
+    in as the simulation pins it.  The kernel and record-stream hashes
+    are shared by every configuration of a kernel, so each is computed
+    once per batch and the parts are combined per point.
     """
     from ..backends import get
     from ..kernels.registry import spec
-    from ..perf.fingerprint import run_fingerprint
-
-    s = spec(point.kernel)
-    if point.workload_seed is None:
-        records = s.workload(point.records)
-    else:
-        records = s.workload(point.records, point.workload_seed)
-    kernel = s.kernel()
-    backend = get(point.backend)
-    if point.engine_core is not None:
-        from ..machine.fastcore import using_core
-
-        with using_core(point.engine_core):
-            return run_fingerprint(
-                kernel, point.config, point.params, records,
-                backend=backend.fingerprint_part(),
-            )
-    return run_fingerprint(
-        kernel, point.config, point.params, records,
-        backend=backend.fingerprint_part(),
+    from ..perf.fingerprint import (
+        combine_fingerprints,
+        fingerprint_config,
+        fingerprint_kernel,
+        fingerprint_params,
+        fingerprint_records,
     )
 
+    kernel_fps: Dict[str, str] = {}
+    records_fps: Dict[Tuple[str, int, Optional[int]], str] = {}
+    fingerprints = []
+    for point in points:
+        kernel_fp = kernel_fps.get(point.kernel)
+        if kernel_fp is None:
+            kernel_fp = kernel_fps[point.kernel] = fingerprint_kernel(
+                spec(point.kernel).kernel()
+            )
+        key = (point.kernel, point.records, point.workload_seed)
+        records_fp = records_fps.get(key)
+        if records_fp is None:
+            records_fp = records_fps[key] = fingerprint_records(
+                point.workload()
+            )
+        fingerprints.append(combine_fingerprints(
+            kernel_fp,
+            fingerprint_config(point.config),
+            fingerprint_params(point.params),
+            records_fp,
+            backend=get(point.backend).fingerprint_part(),
+            engine_core=point.engine_core,
+        ))
+    return fingerprints
 
-__all__ = ["decode_point", "encode_point", "point_fingerprint"]
+
+def point_fingerprint(point) -> str:
+    """One point's content address (see :func:`point_fingerprints`)."""
+    return point_fingerprints([point])[0]
+
+
+__all__ = [
+    "decode_point", "encode_point", "point_fingerprint", "point_fingerprints",
+]

@@ -49,7 +49,7 @@ from ..obs.ledger import (
     RunLedger,
 )
 from ..obs.progress import point_label
-from .codec import encode_point, point_fingerprint
+from .codec import encode_point, point_fingerprints
 
 #: Default claim lease: generous against slow points (a live worker
 #: heartbeats well before this), short enough that a crashed worker's
@@ -100,15 +100,19 @@ class ClaimSession:
     def enqueue(self, points) -> List[Any]:
         """Insert the job's points; returns fingerprint-filled copies.
 
-        Rows are keyed by content fingerprint (computed here once,
-        unless the caller pre-filled it) and carry a serialized spec
-        any worker can rebuild the point from.
+        Rows are keyed by content fingerprint (computed here in one
+        batch, unless the caller pre-filled it) and carry a serialized
+        spec any worker can rebuild the point from.
         """
         import dataclasses
 
+        points = list(points)
+        fingerprints = iter(point_fingerprints(
+            [point for point in points if not point.fingerprint]
+        ))
         filled = [
             point if point.fingerprint else dataclasses.replace(
-                point, fingerprint=point_fingerprint(point)
+                point, fingerprint=next(fingerprints)
             )
             for point in points
         ]

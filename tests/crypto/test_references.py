@@ -15,6 +15,7 @@ from repro.crypto import (
     gf_mul,
     md5_digest,
     md5_hexdigest,
+    pi_fractional_hex,
     pi_words,
     sbox,
     t_tables,
@@ -22,7 +23,56 @@ from repro.crypto import (
 from repro.crypto.md5_ref import compress, message_index, pad, sine_table
 
 
+#: Hex digits of pi's fractional part Blowfish reads: 18 + 4 x 256 words.
+BLOWFISH_PI_DIGITS = 8 * (18 + 4 * 256)
+
+
+def machin_pi_hex(digits: int) -> str:
+    """Oracle: pi = 16 atan(1/5) - 4 atan(1/239), Taylor series in fixed point."""
+    guard = 16
+    one = 1 << (4 * (digits + guard))
+
+    def atan_inv(x: int) -> int:
+        total, power, k = 0, one // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total
+
+    frac = 16 * atan_inv(5) - 4 * atan_inv(239) - 3 * one
+    return format(frac >> (4 * guard), f"0{digits}x").upper()
+
+
+def brute_force_sbox() -> list:
+    """Oracle: each GF(2^8) inverse found by search, then the affine map."""
+    table = []
+    for x in range(256):
+        inv = next((y for y in range(1, 256) if gf_mul(x, y) == 1), 0)
+        s = inv
+        for shift in range(1, 5):
+            s ^= ((inv << shift) | (inv >> (8 - shift))) & 0xFF
+        table.append(s ^ 0x63)
+    return table
+
+
 class TestPiDigits:
+    def test_blowfish_digits_equal_the_machin_series(self):
+        assert pi_fractional_hex(BLOWFISH_PI_DIGITS) == \
+            machin_pi_hex(BLOWFISH_PI_DIGITS)
+
+    def test_blowfish_digits_are_pinned(self):
+        text = pi_fractional_hex(BLOWFISH_PI_DIGITS)
+        assert len(text) == BLOWFISH_PI_DIGITS
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "4cf5e53fa9dd96d7ba895ec17a9cf062fba06be4b73be5128222e9e58bcc9316"
+        )
+
+    @pytest.mark.parametrize("digits", [1, 2, 7, 8, 13, 64, 100, 257])
+    def test_short_expansions_equal_the_machin_series(self, digits):
+        assert pi_fractional_hex(digits) == machin_pi_hex(digits)
+
     def test_first_words_match_published_blowfish_constants(self):
         words = pi_words(4)
         assert words[0] == 0x243F6A88
@@ -93,6 +143,9 @@ class TestAes:
     def test_fips_197_vector(self):
         key, plaintext, ciphertext = AES_FIPS_VECTOR
         assert aes_encrypt_block(plaintext, key) == ciphertext
+
+    def test_sbox_equals_brute_force_inverse_plus_affine(self):
+        assert list(sbox()) == brute_force_sbox()
 
     def test_sbox_is_a_permutation_with_known_anchors(self):
         s = sbox()

@@ -1,6 +1,7 @@
 """Run fingerprints: stable across rebuilds, sensitive to every input."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -80,6 +81,44 @@ class TestStability:
             for hashseed in ("1", "2")
         }
         assert len(prints) == 1
+
+
+#: sha256 over the sorted cache addresses of the 78 paper points
+#: (Figure 5, Table 4, Table 6 at seed 0, 512/128 records, array core).
+PAPER_POINTS_DIGEST = (
+    "c7723cc14b91a8c38b8b38be6bca62b925f7a7bd3864a9c23763eff247774523"
+)
+
+
+class TestPinnedAddresses:
+    def test_paper_point_addresses_are_pinned(self):
+        """A change that moves any paper point's cache address (and so
+        orphans every existing disk cache) must say so here."""
+        from repro.harness import experiments
+        from repro.kernels import all_specs
+        from repro.machine.fastcore import using_core
+
+        with using_core("array"):
+            ctx = experiments.ExperimentContext(
+                records=512, large_kernel_records=128, seed=0
+            )
+            performance = [s.name for s in all_specs(performance_only=True)]
+            table6 = [row.benchmark for row in experiments.TABLE6]
+            pairs = [(name, MachineConfig.baseline()) for name in performance]
+            pairs += [
+                (name, config)
+                for name in performance + table6
+                for config in experiments.TABLE5_CONFIGS
+                if ctx.supports(name, config)
+            ]
+            fingerprints = {
+                ctx.fingerprint(name, config) for name, config in pairs
+            }
+        assert len(fingerprints) == 78
+        digest = hashlib.sha256(
+            "\n".join(sorted(fingerprints)).encode("ascii")
+        ).hexdigest()
+        assert digest == PAPER_POINTS_DIGEST
 
 
 class TestSensitivity:

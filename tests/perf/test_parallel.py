@@ -3,6 +3,7 @@ adaptive dispatch (worker clamping, longest-first order, chunk sizing)
 and the worker-shared on-disk run cache."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.perf import (
     simulate_point,
 )
 from repro.perf import parallel as parallel_mod
-from repro.perf.parallel import _estimated_cost
+from repro.perf.parallel import _estimated_cost, simulate_point_meta
 
 
 def sample_points():
@@ -262,6 +263,37 @@ class TestWorkerDiskCache:
         tampered.cycles = original.cycles + 1234
         RunCache(str(tmp_path)).put(fp, tampered)
         assert simulate_point(point) == tampered
+
+    def test_hit_on_a_precomputed_fingerprint_generates_nothing(
+            self, tmp_path, monkeypatch):
+        """Service and ``repro-worker`` points arrive fingerprinted; a
+        cache hit must not regenerate the workload it then discards."""
+        from repro.kernels import registry
+        from repro.sched import point_fingerprint
+
+        point = self._point(tmp_path)
+        point = dataclasses.replace(
+            point, fingerprint=point_fingerprint(point)
+        )
+        simulate_point(point)  # the miss fills the cache
+        registered = registry()["convert"]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return registered.workload(*args)
+
+        monkeypatch.setitem(registry(), "convert", dataclasses.replace(
+            registered, workload=spy
+        ))
+        result, _, verdict = simulate_point_meta(point)
+        assert verdict == "hit"
+        assert calls == []
+        # The spy is live: a point without its fingerprint must hash
+        # (and so generate) its records to find the same entry.
+        unaddressed = dataclasses.replace(point, fingerprint=None)
+        assert simulate_point_meta(unaddressed)[0] == result
+        assert calls == [(4, 9)]
 
     def test_no_cache_dir_means_no_disk_io(self, tmp_path):
         point = SweepPoint(kernel="convert", config=MachineConfig.baseline(),

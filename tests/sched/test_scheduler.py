@@ -55,6 +55,59 @@ class TestCodec:
         assert RunCache(str(tmp_path)).get(fp) is not None
 
 
+class TestBatchFingerprints:
+    def test_enqueue_hashes_each_kernel_once(self, monkeypatch):
+        """A job's fingerprints equal the per-point ones byte for byte,
+        while the kernel hash runs once per kernel, not once per point."""
+        from repro.backends import get
+        from repro.kernels import spec
+        from repro.machine.fastcore import using_core
+        from repro.perf import fingerprint as fingerprint_mod
+
+        params = MachineParams()
+        configs = [MachineConfig.baseline(), MachineConfig.S(),
+                   MachineConfig.S_O(), MachineConfig.M()]
+        points = [
+            SweepPoint(kernel=name, config=config, params=params,
+                       records=6, workload_seed=7)
+            for name in ("convert", "fft") for config in configs
+        ]
+        points[1] = dataclasses.replace(points[1], engine_core="object")
+        with using_core("array"):
+            expected = [point_fingerprint(p) for p in points]
+            oracle = [
+                fingerprint_mod.run_fingerprint(
+                    spec(p.kernel).kernel(), p.config, p.params,
+                    spec(p.kernel).workload(p.records, p.workload_seed),
+                    backend=get(p.backend).fingerprint_part(),
+                    engine_core=p.engine_core,
+                )
+                for p in points
+            ]
+            unpinned = point_fingerprint(
+                dataclasses.replace(points[1], engine_core=None)
+            )
+        assert expected == oracle
+        assert expected[1] != unpinned
+
+        hashed = []
+        original = fingerprint_mod.fingerprint_kernel
+
+        def spy(kernel):
+            hashed.append(kernel.name)
+            return original(kernel)
+
+        monkeypatch.setattr(fingerprint_mod, "fingerprint_kernel", spy)
+        session = ClaimSession(RunLedger(":memory:"), owns_store=True)
+        try:
+            with using_core("array"):
+                filled = session.enqueue(points)
+        finally:
+            session.close()
+        assert [p.fingerprint for p in filled] == expected
+        assert sorted(hashed) == ["convert", "fft"]
+
+
 class TestDurableSessions:
     def test_enqueue_fills_fingerprints_and_specs(self, tmp_path):
         store = RunLedger(str(tmp_path / "led.sqlite"))
