@@ -131,6 +131,7 @@ def dispatch(
     engine_core: Optional[str] = None,
     fingerprint: Optional[str] = None,
     cache_status: Optional[str] = None,
+    params_json: Optional[str] = None,
 ) -> RunResult:
     """Run one point on a backend, tagging observers with the backend.
 
@@ -153,6 +154,9 @@ def dispatch(
     (callers dispatch only on a miss, so the default records
     ``"miss"`` when a fingerprint is known and ``"uncached"`` when the
     caller runs cache-less); both are ignored while the ledger is off.
+    So is ``params_json``, the row's encoding of ``params`` when the
+    caller made it once for a whole job
+    (:func:`~repro.obs.ledger.encode_params`).
 
     The cyclic collector is paused for the duration of the point
     (:func:`repro.perf.nogc.gc_deferred`): mid-run collections would
@@ -183,6 +187,7 @@ def dispatch(
                 "miss" if fingerprint is not None else "uncached"
             ),
             phases=phases,
+            params_json=params_json,
         )
     else:
         result = _run_on(

@@ -138,9 +138,9 @@ class ExperimentContext:
         self.cache = cache if cache is not None else RunCache(cache_dir)
         self._workloads: Dict[str, list] = {}
         self._keys: Dict[Tuple[str, str, str], str] = {}
-        # Memoized part fingerprints: the kernel and workload hashes are
-        # invariant across the configurations of a sweep.
-        self._kernel_fps: Dict[str, str] = {}
+        # Memoized part fingerprints: the workload hash is invariant
+        # across the configurations of a sweep (the kernel's hash is
+        # memoized on the kernel itself).
         self._records_fps: Dict[str, str] = {}
         self._config_fps: Dict[str, str] = {}
         self._backend_fps: Dict[str, str] = {}
@@ -153,10 +153,10 @@ class ExperimentContext:
     def kernel(self, name: str):
         """The (cached) built kernel for a benchmark.
 
-        One instance per context, so per-instance memos (the window
-        cache's content key, the fingerprint below) amortize across the
-        configurations of a sweep instead of being recomputed on a
-        fresh build per point.
+        One instance per context, so per-instance memos (the kernel
+        fingerprint, which the window cache and the run cache share)
+        amortize across the configurations of a sweep instead of being
+        recomputed on a fresh build per point.
         """
         kernel = self._kernels.get(name)
         if kernel is None:
@@ -203,10 +203,7 @@ class ExperimentContext:
         key = (b.name, name, config.name)
         fp = self._keys.get(key)
         if fp is None:
-            kernel_fp = self._kernel_fps.get(name)
-            if kernel_fp is None:
-                kernel_fp = fingerprint_kernel(self.kernel(name))
-                self._kernel_fps[name] = kernel_fp
+            kernel_fp = fingerprint_kernel(self.kernel(name))
             records_fp = self._records_fps.get(name)
             if records_fp is None:
                 records_fp = fingerprint_records(self.workload(name))

@@ -17,9 +17,10 @@ active engine core (``repro.machine.fastcore.active_core``) — the array
 core caches lazy SoA-backed windows, the object core eager ones, and the
 two must not trade structures when the core is switched mid-process.
 Fingerprints rather than object identities mean two independently-built
-copies of the same kernel share an entry; the kernel fingerprint — the only expensive one — is
-memoized on the kernel instance (kernels are treated as immutable
-everywhere in the simulator, as the run cache already assumes).
+copies of the same kernel share an entry; the kernel fingerprint — the
+only expensive one — is memoized on the kernel instance by
+:func:`~repro.perf.fingerprint.fingerprint_kernel` itself, so the window
+cache and the run cache share one hash per kernel object.
 
 Cached windows are *shared, mutable-by-rebase* structures: engines never
 mutate a window they execute, and every cache hit is rebased to the
@@ -39,19 +40,6 @@ from .config import MachineConfig
 from .fastcore import active_core
 from .mapping import MappedWindow, map_window, rebase_window
 from .params import MachineParams
-
-
-def kernel_content_key(kernel: Kernel) -> str:
-    """The kernel's structure fingerprint, memoized on the instance."""
-    key = getattr(kernel, "_content_key", None)
-    if key is None:
-        # Imported lazily: repro.perf.fingerprint imports repro.machine,
-        # so a module-level import here would close an import cycle.
-        from ..perf.fingerprint import fingerprint_kernel
-
-        key = fingerprint_kernel(kernel)
-        kernel._content_key = key  # type: ignore[attr-defined]
-    return key
 
 
 class MappedWindowCache:
@@ -81,7 +69,13 @@ class MappedWindowCache:
         field-for-field identical to a fresh
         ``map_window(kernel, config, params, iterations, record_offset)``.
         """
-        from ..perf.fingerprint import fingerprint_config, fingerprint_params
+        # Imported lazily: repro.perf.fingerprint imports repro.machine,
+        # so a module-level import here would close an import cycle.
+        from ..perf.fingerprint import (
+            fingerprint_config,
+            fingerprint_kernel,
+            fingerprint_params,
+        )
 
         # The active engine core is part of the key: the array core maps
         # *lazy* windows carrying fused SoA buffers, the object core maps
@@ -91,7 +85,7 @@ class MappedWindowCache:
         # asked for) and let a core flip silently reuse structures the
         # other core built — keep the entries distinct instead.
         key = (
-            kernel_content_key(kernel),
+            fingerprint_kernel(kernel),
             fingerprint_config(config),
             fingerprint_params(params),
             iterations,

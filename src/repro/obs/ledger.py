@@ -39,6 +39,7 @@ distributed experiment store can extend it compatibly.
 
 from __future__ import annotations
 
+import dataclasses
 import getpass
 import json
 import os
@@ -201,6 +202,17 @@ def _json_or_none(doc: Optional[Dict[str, Any]]) -> Optional[str]:
     if doc is None:
         return None
     return json.dumps(_jsonable(doc), sort_keys=True)
+
+
+def encode_params(params) -> Optional[str]:
+    """A run row's ``params`` column: the parameter dataclass as JSON."""
+    if params is None:
+        return None
+    try:
+        doc = dataclasses.asdict(params)
+    except TypeError:
+        doc = {"repr": repr(params)}
+    return _json_or_none(doc)
 
 
 #: The lock around every sqlite call a :class:`RunLedger` makes, shared
@@ -468,8 +480,15 @@ class RunLedger:
         Returns False when the row is no longer this worker's (its
         lease expired and another claimer won it) — the caller's local
         result is still correct, the other worker's row stands.
+        ``result_doc`` must already be JSON-safe, as
+        :func:`~repro.perf.cache.run_result_to_dict` output is; it is
+        stored as sorted-key JSON.
         """
         now = time.time() if now is None else now
+        result = (
+            None if result_doc is None
+            else json.dumps(result_doc, sort_keys=True)
+        )
         with self._txn() as conn:
             cursor = conn.execute(
                 "UPDATE points SET status = 'done', result = ?, "
@@ -478,7 +497,7 @@ class RunLedger:
                 "WHERE job_id = ? AND seq = ? AND worker = ? "
                 "AND status = 'claimed'",
                 (
-                    _json_or_none(result_doc), wall_seconds, cache, now,
+                    result, wall_seconds, cache, now,
                     job_id, int(seq), worker,
                 ),
             )
@@ -836,16 +855,20 @@ class LedgerHandle:
         fingerprint: Optional[str] = None,
         cache: str = "uncached",
         phases: Optional[Dict[str, float]] = None,
+        params_json: Optional[str] = None,
     ) -> Optional[str]:
         """Append one row for a finished run; returns its run id.
 
         ``result`` is a :class:`~repro.machine.stats.RunResult`; its
         ``detail`` dict *is* the per-run metrics snapshot (the memory
         hierarchy's traffic summary plus backend diagnostics), stored
-        as sorted-key JSON.  Failures to reach the database (sqlite
-        errors, or an unusable path) degrade to a dropped row, counted
-        as ``ledger.dropped_rows`` when metrics are on, never an error —
-        observability must not take down the simulation it observes.
+        as sorted-key JSON.  ``params_json`` is ``encode_params(params)``
+        when the caller already made it, once for the many points of a
+        job that share one params object.  Failures to reach the
+        database (sqlite errors, or an unusable path) degrade to a
+        dropped row, counted as ``ledger.dropped_rows`` when metrics are
+        on, never an error — observability must not take down the
+        simulation it observes.
         """
         if not self.enabled or self._ledger is None:
             return None
@@ -858,14 +881,8 @@ class LedgerHandle:
             )
         else:
             verdict = "off"
-        params_doc = None
-        if params is not None:
-            import dataclasses
-
-            try:
-                params_doc = dataclasses.asdict(params)
-            except TypeError:
-                params_doc = {"repr": repr(params)}
+        if params_json is None:
+            params_json = encode_params(params)
         run_id = uuid.uuid4().hex
         row = {
             "run_id": run_id,
@@ -879,7 +896,7 @@ class LedgerHandle:
             "kernel": result.kernel,
             "config": result.config,
             "records": result.records,
-            "params": _json_or_none(params_doc),
+            "params": params_json,
             "fingerprint": fingerprint,
             "cache": cache,
             "sanitizer": verdict,
@@ -1002,5 +1019,6 @@ __all__ = [
     "add_ledger_arguments",
     "configure_from_args",
     "current_git_sha",
+    "encode_params",
     "ledger_to",
 ]

@@ -75,7 +75,22 @@ def _encode_operand(src) -> list:
 
 
 def fingerprint_kernel(kernel: Kernel) -> str:
-    """Content hash of a kernel's complete dataflow structure."""
+    """Content hash of a kernel's complete dataflow structure.
+
+    Memoized on the kernel instance: kernels are never mutated once
+    built (registry kernels are process singletons), so the run cache,
+    the claim scheduler and the window cache all share one hash per
+    kernel object.
+    """
+    fp = getattr(kernel, "_fingerprint", None)
+    if fp is None:
+        fp = _hash_kernel(kernel)
+        kernel._fingerprint = fp  # type: ignore[attr-defined]
+    return fp
+
+
+def _hash_kernel(kernel: Kernel) -> str:
+    """:func:`fingerprint_kernel` without the memo."""
     body = [
         [
             inst.iid,

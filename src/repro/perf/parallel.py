@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..machine.config import MachineConfig
 from ..machine.params import MachineParams
 from ..machine.stats import RunResult
-from ..obs.ledger import LEDGER
+from ..obs.ledger import LEDGER, encode_params
 from ..obs.metrics import METRICS
 from ..obs.progress import PROGRESS, point_label
 from .phases import PHASES, measuring
@@ -106,11 +106,48 @@ class SweepPoint:
         return s.workload(self.records, self.workload_seed)
 
 
-#: Thread-local out-param slot for :func:`simulate_point_meta`.  The
-#: meta wrapper must call :func:`simulate_point` through its *module
-#: global* (so fault injection and tests that monkeypatch it keep
-#: working), yet still receive the cache verdict — the slot carries the
-#: dict past whatever wrapper is installed.
+class JobConstants:
+    """What the points of one job share, built once for the whole job.
+
+    A :class:`~repro.sched.ClaimSession` keeps one per job:
+    :func:`~repro.sched.point_fingerprints` generates the record
+    streams into it at enqueue, and the claim consumer hands it to
+    :func:`simulate_point_meta`, so points that miss the cache simulate
+    those streams and their ledger rows share one params encoding.
+    A stream is reused only under its exact (kernel, records, seed)
+    key, and an encoding only for the very object it was made from:
+    ``latencies`` is a mutable dict inside the frozen dataclass.
+    """
+
+    def __init__(self) -> None:
+        self._streams: Dict[Tuple[str, int, Optional[int]], list] = {}
+        #: id(params) -> (params, encoding); holding the object keeps
+        #: its id from being reused by another.
+        self._params_json: Dict[int, Tuple[MachineParams, str]] = {}
+
+    def workload(self, point: SweepPoint) -> list:
+        """The point's record stream, generated once per job."""
+        key = (point.kernel, point.records, point.workload_seed)
+        records = self._streams.get(key)
+        if records is None:
+            records = self._streams[key] = point.workload()
+        return records
+
+    def params_json(self, params: MachineParams) -> Optional[str]:
+        """The ledger row's encoding of ``params``, made once per job."""
+        held = self._params_json.get(id(params))
+        if held is None:
+            held = self._params_json[id(params)] = (
+                params, encode_params(params)
+            )
+        return held[1]
+
+
+#: Thread-local in/out slot for :func:`simulate_point_meta`.  The meta
+#: wrapper must call :func:`simulate_point` through its *module global*
+#: (so fault injection and tests that monkeypatch it keep working), yet
+#: still hand in the job's constants and receive the cache verdict —
+#: the slot carries the dict past whatever wrapper is installed.
 _META_SLOT = threading.local()
 
 
@@ -143,9 +180,11 @@ def _simulate_pinned(
 
     When ``meta`` is a dict, ``meta["cache"]`` is set to the point's
     cache verdict (``"hit"``/``"miss"``/``"uncached"``) — what the
-    claim consumers record on the DONE row.  The kernel and records are
-    built only when the fingerprint must be computed or the point is
-    simulated: a cache hit on a precomputed fingerprint builds nothing.
+    claim consumers record on the DONE row — and ``meta["constants"]``,
+    when set, is the point's :class:`JobConstants`.  The kernel and
+    records are built only when the fingerprint must be computed or
+    the point is simulated: a cache hit on a precomputed fingerprint
+    builds nothing.
     """
     # Lazy imports: repro.backends imports this package back (for the
     # fingerprint helpers), so resolving at call time avoids the cycle.
@@ -158,7 +197,9 @@ def _simulate_pinned(
         LEDGER.configure(point.ledger_path, mirror_env=False)
     s = spec(point.kernel)
     backend = get(point.backend)
-    records = None
+    constants = meta.get("constants") if meta is not None else None
+    if constants is None:
+        constants = JobConstants()  # a job of one point
     cache = None
     fp = None
     if point.cache_dir is not None:
@@ -168,9 +209,9 @@ def _simulate_pinned(
         cache = RunCache(point.cache_dir)
         fp = point.fingerprint
         if fp is None:
-            records = point.workload()
             fp = run_fingerprint(
-                s.kernel(), point.config, point.params, records,
+                s.kernel(), point.config, point.params,
+                constants.workload(point),
                 backend=backend.fingerprint_part(),
             )
         cached = cache.get(fp)
@@ -187,15 +228,18 @@ def _simulate_pinned(
                     cached, backend=backend.name,
                     engine_core=active_core(), wall_seconds=0.0,
                     params=point.params, fingerprint=fp, cache="hit",
+                    params_json=constants.params_json(point.params),
                 )
             return cached
     if meta is not None:
         meta["cache"] = "miss" if fp is not None else "uncached"
-    if records is None:
-        records = point.workload()
     result = dispatch(
-        backend, s.kernel(), records, point.config, point.params,
-        fingerprint=fp, cache_status="miss" if fp is not None else None,
+        backend, s.kernel(), constants.workload(point), point.config,
+        point.params, fingerprint=fp,
+        cache_status="miss" if fp is not None else None,
+        params_json=(
+            constants.params_json(point.params) if LEDGER.enabled else None
+        ),
     )
     if cache is not None:
         cache.put(fp, result)
@@ -204,14 +248,16 @@ def _simulate_pinned(
 
 def simulate_point_meta(
     point: SweepPoint,
+    constants: Optional[JobConstants] = None,
 ) -> Tuple[RunResult, float, str]:
     """One point with full accounting: (result, seconds, cache verdict).
 
     Every claim consumer (the serial loop, the pool, ``repro-worker``)
     records the verdict on the DONE row, so a job's cache hit/miss split
-    is read straight from its claim rows.
+    is read straight from its claim rows.  ``constants`` is the point's
+    job's :class:`JobConstants`, when the caller keeps one.
     """
-    meta: dict = {}
+    meta: dict = {"constants": constants}
     previous = getattr(_META_SLOT, "meta", None)
     _META_SLOT.meta = meta
     started = time.perf_counter()
@@ -466,7 +512,9 @@ def _run_claimed(session, points, seq: int, timed: bool,
     if want_progress:
         PROGRESS.point_started(label)
     try:
-        result, seconds, verdict = simulate_point_meta(point)
+        result, seconds, verdict = simulate_point_meta(
+            point, session.constants
+        )
     except (KeyboardInterrupt, SystemExit):
         # An interrupt is not the point's fault: put the claim back so
         # a resumed sweep (or a sibling worker) runs it fresh.

@@ -12,7 +12,9 @@ enum *names*.
 :func:`point_fingerprints` computes the same content addresses
 :func:`~repro.perf.parallel.simulate_point` would (including the
 ``engine_core`` pinning rule), so claim rows are keyed by fingerprint
-before any worker touches them.
+before any worker touches them.  Both batch functions encode what a
+job's points share once per batch: each kernel, record stream and
+``MachineParams`` object.
 """
 
 from __future__ import annotations
@@ -21,24 +23,46 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 
+def _encode_params(params) -> Dict[str, Any]:
+    doc = dataclasses.asdict(params)
+    doc["latencies"] = {
+        opclass.name: latency for opclass, latency in params.latencies.items()
+    }
+    return doc
+
+
+def encode_points(points) -> List[Dict[str, Any]]:
+    """JSON-safe documents :func:`decode_point` rebuilds the points from.
+
+    Each ``MachineParams`` object is encoded once per batch; the
+    documents share its encoding, so treat them as read-only.
+    """
+    points = list(points)  # keeps every params object, so its id, alive
+    params_docs: Dict[int, Dict[str, Any]] = {}
+    docs = []
+    for point in points:
+        params = params_docs.get(id(point.params))
+        if params is None:
+            params = params_docs[id(point.params)] = _encode_params(
+                point.params
+            )
+        docs.append({
+            "kernel": point.kernel,
+            "config": dataclasses.asdict(point.config),
+            "params": params,
+            "records": point.records,
+            "workload_seed": point.workload_seed,
+            "cache_dir": point.cache_dir,
+            "backend": point.backend,
+            "ledger_path": point.ledger_path,
+            "engine_core": point.engine_core,
+        })
+    return docs
+
+
 def encode_point(point) -> Dict[str, Any]:
-    """A JSON-safe document :func:`decode_point` rebuilds the point from."""
-    params = dataclasses.asdict(point.params)
-    params["latencies"] = {
-        opclass.name: latency
-        for opclass, latency in point.params.latencies.items()
-    }
-    return {
-        "kernel": point.kernel,
-        "config": dataclasses.asdict(point.config),
-        "params": params,
-        "records": point.records,
-        "workload_seed": point.workload_seed,
-        "cache_dir": point.cache_dir,
-        "backend": point.backend,
-        "ledger_path": point.ledger_path,
-        "engine_core": point.engine_core,
-    }
+    """One point's document (see :func:`encode_points`)."""
+    return encode_points([point])[0]
 
 
 def decode_point(doc: Dict[str, Any], fingerprint: Optional[str] = None):
@@ -67,15 +91,18 @@ def decode_point(doc: Dict[str, Any], fingerprint: Optional[str] = None):
     )
 
 
-def point_fingerprints(points) -> List[str]:
+def point_fingerprints(points, constants=None) -> List[str]:
     """The content addresses a batch of points will simulate under.
 
     Byte-identical, point by point, to what :func:`simulate_point`
     computes: the workload is rebuilt from (records, seed), the backend
     part comes from the registry, and a pinned ``engine_core`` is folded
-    in as the simulation pins it.  The kernel and record-stream hashes
-    are shared by every configuration of a kernel, so each is computed
-    once per batch and the parts are combined per point.
+    in as the simulation pins it.  The kernel, record-stream and params
+    hashes are shared by every configuration of a kernel, so each is
+    computed once per batch and the parts are combined per point.  The
+    record streams are generated into ``constants`` (the job's
+    :class:`~repro.perf.parallel.JobConstants`), so the job's points
+    that miss the cache simulate them instead of regenerating them.
     """
     from ..backends import get
     from ..kernels.registry import spec
@@ -86,9 +113,14 @@ def point_fingerprints(points) -> List[str]:
         fingerprint_params,
         fingerprint_records,
     )
+    from ..perf.parallel import JobConstants
 
+    if constants is None:
+        constants = JobConstants()
+    points = list(points)  # keeps every params object, so its id, alive
     kernel_fps: Dict[str, str] = {}
     records_fps: Dict[Tuple[str, int, Optional[int]], str] = {}
+    params_fps: Dict[int, str] = {}
     fingerprints = []
     for point in points:
         kernel_fp = kernel_fps.get(point.kernel)
@@ -100,12 +132,17 @@ def point_fingerprints(points) -> List[str]:
         records_fp = records_fps.get(key)
         if records_fp is None:
             records_fp = records_fps[key] = fingerprint_records(
-                point.workload()
+                constants.workload(point)
+            )
+        params_fp = params_fps.get(id(point.params))
+        if params_fp is None:
+            params_fp = params_fps[id(point.params)] = fingerprint_params(
+                point.params
             )
         fingerprints.append(combine_fingerprints(
             kernel_fp,
             fingerprint_config(point.config),
-            fingerprint_params(point.params),
+            params_fp,
             records_fp,
             backend=get(point.backend).fingerprint_part(),
             engine_core=point.engine_core,
@@ -119,5 +156,6 @@ def point_fingerprint(point) -> str:
 
 
 __all__ = [
-    "decode_point", "encode_point", "point_fingerprint", "point_fingerprints",
+    "decode_point", "encode_point", "encode_points", "point_fingerprint",
+    "point_fingerprints",
 ]

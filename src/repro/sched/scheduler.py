@@ -38,7 +38,7 @@ import platform
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..obs.ledger import (
     LEDGER,
@@ -49,7 +49,8 @@ from ..obs.ledger import (
     RunLedger,
 )
 from ..obs.progress import point_label
-from .codec import encode_point, point_fingerprints
+from ..perf.parallel import JobConstants
+from .codec import encode_points, point_fingerprints
 
 #: Default claim lease: generous against slow points (a live worker
 #: heartbeats well before this), short enough that a crashed worker's
@@ -91,6 +92,11 @@ class ClaimSession:
         self._cancel_check = cancel_check
         self._owns_store = owns_store
         self._points: List[Any] = []
+        #: Built once for the job: the record streams enqueue generates
+        #: and each params object's ledger encoding.
+        self.constants = JobConstants()
+        #: Seqs this session claimed and has not yet completed or failed.
+        self._held: Set[int] = set()
         self._hb_stop = threading.Event()
         self._hb_thread: Optional[threading.Thread] = None
         self._closed = False
@@ -101,14 +107,16 @@ class ClaimSession:
         """Insert the job's points; returns fingerprint-filled copies.
 
         Rows are keyed by content fingerprint (computed here in one
-        batch, unless the caller pre-filled it) and carry a serialized
-        spec any worker can rebuild the point from.
+        batch, unless the caller pre-filled it, with the record streams
+        kept in :attr:`constants`) and carry a serialized spec any
+        worker can rebuild the point from.
         """
         import dataclasses
 
         points = list(points)
         fingerprints = iter(point_fingerprints(
-            [point for point in points if not point.fingerprint]
+            [point for point in points if not point.fingerprint],
+            self.constants,
         ))
         filled = [
             point if point.fingerprint else dataclasses.replace(
@@ -122,9 +130,11 @@ class ClaimSession:
                 "fingerprint": point.fingerprint,
                 "label": _label(point),
                 "backend": point.backend,
-                "spec": json.dumps(encode_point(point), sort_keys=True),
+                "spec": json.dumps(doc, sort_keys=True),
             }
-            for seq, point in enumerate(filled)
+            for seq, (point, doc) in enumerate(
+                zip(filled, encode_points(filled))
+            )
         ]
         self._points = filled
         self.store.enqueue_points(self.job_id, rows)
@@ -146,9 +156,11 @@ class ClaimSession:
             self.worker_id, limit=limit,
             lease_seconds=self.lease_seconds, job_id=self.job_id,
         )
-        if rows:
+        seqs = [row["seq"] for row in rows]
+        if seqs:
+            self._held.update(seqs)
             self._ensure_heartbeat()
-        return [row["seq"] for row in rows]
+        return seqs
 
     def complete(
         self,
@@ -160,20 +172,26 @@ class ClaimSession:
         """Record one finished point, its result serialized on the row."""
         from ..perf.cache import run_result_to_dict
 
-        return self.store.complete_point(
+        won = self.store.complete_point(
             self.job_id, seq, self.worker_id,
             result_doc=run_result_to_dict(result),
             wall_seconds=wall_seconds, cache=cache,
         )
+        self._held.discard(seq)
+        return won
 
     def fail(self, seq: int, error: str) -> bool:
-        return self.store.fail_point(
+        won = self.store.fail_point(
             self.job_id, seq, self.worker_id, str(error)
         )
+        self._held.discard(seq)
+        return won
 
     def release(self) -> int:
         """Hand this session's unfinished claims back to PENDING."""
-        return self.store.release_points(self.worker_id, self.job_id)
+        released = self.store.release_points(self.worker_id, self.job_id)
+        self._held.clear()
+        return released
 
     def revoke_pending(self) -> int:
         return self.store.revoke_pending(self.job_id)
@@ -361,15 +379,20 @@ class ClaimSession:
         self._hb_thread.start()
 
     def close(self, release: bool = True) -> None:
-        """Stop the heartbeat, hand back claims, drop an owned store."""
+        """Stop the heartbeat, hand back claims, drop an owned store.
+
+        The release is skipped when every claim completed or failed:
+        that write would change no row.  The job's constants go too.
+        """
         if self._closed:
             return
         self._closed = True
         self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=2.0)
+        self.constants = JobConstants()
         try:
-            if release:
+            if release and self._held:
                 self.release()
         finally:
             if self._owns_store:

@@ -11,11 +11,8 @@ from repro.kernels import spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
     map_window
 from repro.machine.fastcore import using_core
-from repro.machine.window_cache import (
-    SHARED_WINDOW_CACHE,
-    MappedWindowCache,
-    kernel_content_key,
-)
+from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
+from repro.perf import fingerprint_kernel
 
 
 def fft_point():
@@ -25,13 +22,13 @@ def fft_point():
 class TestContentKeys:
     def test_key_memoized_on_instance(self):
         kernel = spec("fft").build()
-        first = kernel_content_key(kernel)
-        assert kernel_content_key(kernel) == first
-        assert kernel._content_key == first
+        first = fingerprint_kernel(kernel)
+        assert fingerprint_kernel(kernel) == first
+        assert kernel._fingerprint == first
 
     def test_independent_builds_share_key(self):
         s = spec("fft")
-        assert kernel_content_key(s.build()) == kernel_content_key(s.build())
+        assert fingerprint_kernel(s.build()) == fingerprint_kernel(s.build())
 
 
 class TestMappedWindowCache:

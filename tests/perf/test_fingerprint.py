@@ -35,9 +35,11 @@ class TestStability:
 
     @pytest.mark.parametrize("name", ["fft", "md5", "vertex-skinning"])
     def test_kernel_fingerprint_stable_across_rebuilds(self, name):
-        a = fingerprint_kernel(spec(name).kernel())
-        b = fingerprint_kernel(spec(name).kernel())
-        assert a == b
+        """Two fresh builds: ``kernel()`` returns one shared, memoized
+        object, so comparing it with itself would prove nothing."""
+        a, b = spec(name).build(), spec(name).build()
+        assert a is not b
+        assert fingerprint_kernel(a) == fingerprint_kernel(b)
 
     def test_config_and_params_fingerprints_stable(self):
         assert fingerprint_config(MachineConfig.S_O()) == \
@@ -119,6 +121,62 @@ class TestPinnedAddresses:
             "\n".join(sorted(fingerprints)).encode("ascii")
         ).hexdigest()
         assert digest == PAPER_POINTS_DIGEST
+
+
+class TestKernelMemo:
+    def test_each_kernel_object_is_hashed_once(self, monkeypatch):
+        """The experiment context, the claim scheduler and the window
+        cache all read one hash per kernel object."""
+        from repro.harness import experiments
+        from repro.machine.window_cache import SHARED_WINDOW_CACHE
+        from repro.perf import SweepPoint
+        from repro.perf import fingerprint as fingerprint_mod
+        from repro.sched import point_fingerprints
+
+        kernels = [spec(name).kernel() for name in ("convert", "fft")]
+        for kernel in kernels:
+            monkeypatch.delattr(kernel, "_fingerprint", raising=False)
+        hashed = []
+        hash_kernel = fingerprint_mod._hash_kernel
+
+        def spy(kernel):
+            hashed.append(kernel)
+            return hash_kernel(kernel)
+
+        monkeypatch.setattr(fingerprint_mod, "_hash_kernel", spy)
+        SHARED_WINDOW_CACHE.clear()
+        pairs = [(kernel.name, config) for kernel in kernels
+                 for config in (MachineConfig.S(), MachineConfig.S_O())]
+        ctx = experiments.ExperimentContext(records=8, large_kernel_records=8)
+        ctx.run_many(pairs)
+        point_fingerprints([
+            SweepPoint(kernel=name, config=config, params=MachineParams(),
+                       records=4, workload_seed=1)
+            for name, config in pairs
+        ])
+        assert SHARED_WINDOW_CACHE.misses > 0
+        assert len(hashed) == len(kernels)
+        assert all(any(h is k for h in hashed) for k in kernels)
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    def test_paper_pass_leaves_every_kernel_as_hashed(self, core):
+        """No simulation mutates a kernel it was handed: after a paper
+        pass, hashing each registry kernel from scratch equals its memo."""
+        from repro.harness import experiments
+        from repro.kernels import registry
+        from repro.machine.fastcore import using_core
+        from repro.perf import fingerprint as fingerprint_mod
+
+        ctx = experiments.ExperimentContext(records=32,
+                                            large_kernel_records=16)
+        with using_core(core):
+            experiments.figure5(ctx)
+            experiments.table4(ctx)
+            experiments.table6(ctx)
+        for name in registry():
+            kernel = spec(name).kernel()
+            assert fingerprint_mod._hash_kernel(kernel) == \
+                fingerprint_kernel(kernel), name
 
 
 class TestSensitivity:

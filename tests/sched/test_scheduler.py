@@ -1,6 +1,7 @@
 """Scheduler end-to-end: sharding, crash resume, adoption, the worker CLI."""
 
 import dataclasses
+import sqlite3
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ from repro.machine import MachineConfig, MachineParams
 from repro.obs.ledger import (
     POINT_CANCELLED,
     POINT_DONE,
+    POINT_PENDING,
     RunLedger,
     ledger_to,
 )
@@ -106,6 +108,129 @@ class TestBatchFingerprints:
             session.close()
         assert [p.fingerprint for p in filled] == expected
         assert sorted(hashed) == ["convert", "fft"]
+
+
+CONFIGS = [MachineConfig.baseline(), MachineConfig.S(), MachineConfig.S_O(),
+           MachineConfig.S_O_D(), MachineConfig.M(), MachineConfig.M_D()]
+
+
+def service_job(tmp_path):
+    """A service-shaped cold job: two kernels x the six Table 5 configs."""
+    params = MachineParams()
+    return [
+        SweepPoint(kernel=name, config=config, params=params, records=6,
+                   workload_seed=7, cache_dir=str(tmp_path / "cache"))
+        for name in ("convert", "fft") for config in CONFIGS
+    ]
+
+
+def spy_workloads(monkeypatch, names):
+    """Wrap each named spec's ``workload``; returns the call log."""
+    from repro.kernels import registry
+
+    calls = []
+    for name in names:
+        registered = registry()[name]
+
+        def spy(*args, _name=name, _workload=registered.workload):
+            calls.append((_name,) + args)
+            return _workload(*args)
+
+        monkeypatch.setitem(registry(), name, dataclasses.replace(
+            registered, workload=spy
+        ))
+    return calls
+
+
+class TestJobConstants:
+    def test_cold_job_generates_each_stream_once(
+            self, tmp_path, monkeypatch):
+        """Enqueue generates each kernel's records while hashing them;
+        the six configurations that miss the cache simulate that stream
+        instead of regenerating it."""
+        from repro.perf import simulate_point
+
+        points = service_job(tmp_path)
+        expected = [
+            simulate_point(dataclasses.replace(p, cache_dir=None))
+            for p in points
+        ]
+        calls = spy_workloads(monkeypatch, ["convert", "fft"])
+        assert run_points(points, jobs=1) == expected
+        assert sorted(calls) == [("convert", 6, 7), ("fft", 6, 7)]
+
+    def test_streams_are_keyed_by_records_and_seed(self, monkeypatch):
+        """Points of one kernel with other record counts or seeds get
+        their own streams, each generated once."""
+        from repro.perf import simulate_point
+        from repro.perf.parallel import JobConstants
+
+        base = SweepPoint(kernel="fft", config=MachineConfig.S(),
+                          params=MachineParams(), records=4, workload_seed=7)
+        points = [
+            base,
+            dataclasses.replace(base, config=MachineConfig.M()),
+            dataclasses.replace(base, records=6),
+            dataclasses.replace(base, workload_seed=8),
+        ]
+        expected = [simulate_point(p) for p in points]
+        calls = spy_workloads(monkeypatch, ["fft"])
+        assert run_points(points, jobs=1) == expected
+        assert sorted(calls) == [("fft", 4, 7), ("fft", 4, 8), ("fft", 6, 7)]
+
+        constants = JobConstants()
+        streams = [constants.workload(p) for p in points]
+        assert streams[0] is streams[1]
+        assert streams[0] != streams[2] and streams[0] != streams[3]
+        assert streams == [p.workload() for p in points]
+
+    def test_job_encodes_its_params_once(self, tmp_path, monkeypatch):
+        """The spec column and the run rows encode the job's one
+        ``MachineParams`` object once each, cold and replayed."""
+        import repro.obs.ledger as ledger_mod
+
+        db = str(tmp_path / "led.sqlite")
+        points = service_job(tmp_path)
+        encoded = []
+        asdict = dataclasses.asdict
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, MachineParams):
+                encoded.append(obj)
+            return asdict(obj, *args, **kwargs)
+
+        monkeypatch.setattr(dataclasses, "asdict", spy)
+        with ledger_to(db):
+            for job in ("cold", "replay"):
+                del encoded[:]
+                session = ClaimSession(RunLedger(db), job_id=job,
+                                       owns_store=True)
+                try:
+                    run_points(points, jobs=1, session=session)
+                finally:
+                    session.close()
+                assert len(encoded) <= 2
+                assert all(p is points[0].params for p in encoded)
+        conn = sqlite3.connect(db)
+        columns = [raw for raw, in conn.execute("SELECT params FROM runs")]
+        conn.close()
+        assert len(columns) == 2 * len(points)
+        assert set(columns) == {
+            ledger_mod._json_or_none(asdict(points[0].params))
+        }
+
+    def test_params_encoding_is_reused_only_for_the_same_object(self):
+        from repro.obs.ledger import encode_params
+        from repro.perf.parallel import JobConstants
+
+        constants = JobConstants()
+        params = MachineParams()
+        assert constants.params_json(params) == encode_params(params)
+        assert constants.params_json(params) is \
+            constants.params_json(params)
+        other = MachineParams(hop_cycles=2.0)
+        assert constants.params_json(other) == encode_params(other)
+        assert constants.params_json(other) != constants.params_json(params)
 
 
 class TestDurableSessions:
@@ -229,6 +354,46 @@ class TestCancellation:
             r["status"] == POINT_CANCELLED for r in rows
         )
         session.close()
+        store.close()
+
+
+class TestReleaseWrites:
+    def test_completed_job_makes_no_release_write(self, monkeypatch):
+        """With every claim completed, a release would change no row."""
+        releases = []
+        release_points = RunLedger.release_points
+
+        def spy(self, *args, **kwargs):
+            releases.append(args)
+            return release_points(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunLedger, "release_points", spy)
+        run_points(sample_points(), jobs=1)
+        assert releases == []
+
+    def test_interrupted_job_releases_its_claim(self, tmp_path,
+                                                monkeypatch):
+        from repro.perf import parallel
+
+        store = RunLedger(str(tmp_path / "led.sqlite"))
+        session = ClaimSession(store, job_id="job", worker_id="w")
+        simulate_point = parallel.simulate_point
+        calls = []
+
+        def interrupting(point):
+            calls.append(point)
+            if len(calls) > 1:
+                raise KeyboardInterrupt
+            return simulate_point(point)
+
+        monkeypatch.setattr(parallel, "simulate_point", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_points(sample_points(), jobs=1, session=session)
+        session.close()
+        statuses = [(r["status"], r["worker"])
+                    for r in store.point_rows("job")]
+        assert statuses[0] == (POINT_DONE, "w")
+        assert statuses[1:] == [(POINT_PENDING, None)] * 3
         store.close()
 
 
