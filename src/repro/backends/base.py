@@ -99,6 +99,20 @@ class Backend(abc.ABC):
     ) -> RunResult:
         """Simulate one (kernel, records, config) point on this model."""
 
+    def simulated_config(
+        self, kernel: Kernel, config: MachineConfig
+    ) -> MachineConfig:
+        """The machine this model simulates when ``kernel`` asks for ``config``.
+
+        It keeps ``config``'s name and drops any mechanism the model
+        never reads for this kernel.  Two configurations with equal
+        flags here give the same result apart from the configuration
+        name, so a job simulates their machine once
+        (:meth:`~repro.perf.parallel.JobConstants.simulate`).  By
+        default every mechanism counts.
+        """
+        return config
+
 
 def _run_on(
     backend: Backend,

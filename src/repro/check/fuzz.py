@@ -14,6 +14,9 @@ on ordinary fuzz workloads:
   own window with its own placement — timings, stats bit-identical;
 * the array core vs the object loop of the MIMD record timing (M, M-D)
   where the kernel fits, plus MIMD functional output vs the oracle;
+* the grid's simulated-configuration rule: under each core, every
+  configuration the rule changes gives the same result document (or
+  the same error) as the configuration it stands for;
 * a :class:`~repro.perf.cache.RunCache` round trip of the result.
 
 :func:`check_case_backends` is the cross-backend differential mode: the
@@ -159,8 +162,19 @@ def _stress_params():
     return MachineParams(store_capacity_lines=STRESS_STORE_CAPACITY)
 
 
+def _outcome(processor, kernel, records, config):
+    """A grid run's result document, or the error it raised."""
+    from ..perf.cache import run_result_to_dict
+
+    try:
+        return run_result_to_dict(processor.run(kernel, records, config))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     """Run one case through every path; None means it survived clean."""
+    from ..backends import get
     from ..isa.evaluate import evaluate_stream
     from ..machine.config import MachineConfig
     from ..machine.dataflow_engine import DataflowEngine
@@ -236,6 +250,19 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
             if not _outputs_match(outputs, oracle):
                 return fail(stage, "functional outputs disagree with the "
                                    "evaluator oracle")
+
+        grid = get("grid")
+        for config in block_configs + [MachineConfig.M(), MachineConfig.M_D()]:
+            simulated = grid.simulated_config(kernel, config)
+            if simulated == config:
+                continue
+            for core in ("array", "object"):
+                with using_core(core):
+                    if (_outcome(processor, kernel, records, simulated)
+                            != _outcome(processor, kernel, records, config)):
+                        return fail(f"simulated-config:{config.name}",
+                                    f"{core} core: the simulated "
+                                    "configuration's result differs")
 
         try:
             result = processor.run(kernel, records, MachineConfig.S_O_D())

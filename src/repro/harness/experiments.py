@@ -138,6 +138,8 @@ class ExperimentContext:
         self.cache = cache if cache is not None else RunCache(cache_dir)
         self._workloads: Dict[str, list] = {}
         self._keys: Dict[Tuple[str, str, str], str] = {}
+        #: the one configuration each name stands for on this context
+        self._configs: Dict[str, MachineConfig] = {}
         # Memoized part fingerprints: the workload hash is invariant
         # across the configurations of a sweep (the kernel's hash is
         # memoized on the kernel itself).
@@ -197,9 +199,19 @@ class ExperimentContext:
         Identical to ``run_fingerprint`` on the full inputs, but the
         part hashes (kernel structure, workload, params, backend) are
         memoized — a sweep hashes each kernel and record stream once,
-        not once per configuration.
+        not once per configuration.  Raises ``ValueError`` for a
+        configuration whose name the context already used for another
+        machine.
         """
         b = self._backend(backend)
+        known = self._configs.setdefault(config.name, config)
+        if known is not config and known != config:
+            # Addresses, results and point timings are all keyed by
+            # configuration name: one name must mean one machine.
+            raise ValueError(
+                f"configuration name {config.name!r} already names "
+                f"{known} on this context, not {config}"
+            )
         key = (b.name, name, config.name)
         fp = self._keys.get(key)
         if fp is None:
@@ -281,8 +293,10 @@ class ExperimentContext:
         when more than one worker is effective, and otherwise run
         through :meth:`run`'s in-context serial path — which reuses
         this context's cached workloads and fingerprints instead of
-        rebuilding them per point.  Either way results land in the
-        cache, so later :meth:`run` calls return the same objects.
+        rebuilding them per point, and simulates each distinct machine
+        once (:meth:`~repro.perf.parallel.JobConstants.simulate`).
+        Either way results land in the cache, so later :meth:`run`
+        calls return the same objects.
         """
         b = self._backend(backend)
         results: Dict[Tuple[str, str], RunResult] = {}
@@ -301,7 +315,9 @@ class ExperimentContext:
         if effective_workers(self.jobs, len(missing)) < 2:
             # Serial in-context fast path: bit-identical to the worker
             # (same seed, records, params), minus its per-point rebuild
-            # of workloads and fingerprints.  The scan above already
+            # of workloads and fingerprints.  A point whose machine a
+            # job-mate already simulated gets a copy of that result
+            # under its own configuration name.  The scan above already
             # charged the cache miss, so simulate and store directly
             # rather than re-probing through :meth:`run`.  Like the
             # pool path, this runs as a claim consumer: the points
@@ -323,14 +339,13 @@ class ExperimentContext:
 
             def _run_seq(seq: int) -> RunResult:
                 name, config, fp = missing[seq]
-                kernel = self.kernel(name)
                 label = point_label(b.name, name, config.name)
                 if want_progress:
                     PROGRESS.point_started(label)
                 started = time.perf_counter()
-                result = backend_dispatch(
-                    b, kernel, self.workload(name), config, self.params,
-                    fingerprint=fp, cache_status="miss",
+                result = session.constants.simulate(
+                    points[seq], b, self.kernel(name), self.workload(name),
+                    fp,
                 )
                 seconds = time.perf_counter() - started
                 self.point_seconds[(self._label(b, name), config.name)] = (

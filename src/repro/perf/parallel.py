@@ -44,6 +44,8 @@ re-simulated.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import threading
 import time
@@ -117,6 +119,8 @@ class JobConstants:
     A stream is reused only under its exact (kernel, records, seed)
     key, and an encoding only for the very object it was made from:
     ``latencies`` is a mutable dict inside the frozen dataclass.
+    Each point the job simulates is kept under its simulation identity
+    (:meth:`simulate`), so a job-mate on the same machine reuses it.
     """
 
     def __init__(self) -> None:
@@ -124,6 +128,9 @@ class JobConstants:
         #: id(params) -> (params, encoding); holding the object keeps
         #: its id from being reused by another.
         self._params_json: Dict[int, Tuple[MachineParams, str]] = {}
+        #: simulation identity -> (kernel, config name, result); holding
+        #: the kernel keeps its id from being reused by another.
+        self._simulated: Dict[tuple, Tuple[object, str, RunResult]] = {}
 
     def workload(self, point: SweepPoint) -> list:
         """The point's record stream, generated once per job."""
@@ -141,6 +148,57 @@ class JobConstants:
                 params, encode_params(params)
             )
         return held[1]
+
+    def simulate(self, point: SweepPoint, backend, kernel, records: list,
+                 fingerprint: Optional[str]) -> RunResult:
+        """Simulate a point that missed the cache, once per machine.
+
+        The simulation identity is the backend, the kernel, the record
+        stream, the params (by content), the engine core and
+        ``backend.simulated_config`` of the point's configuration, name
+        aside.  The first point with an identity is dispatched; a later
+        one gets a copy of its result under its own configuration name,
+        which is what its own dispatch would return.  Like a cache hit,
+        the copy adds no engine metrics or trace events, but it is
+        still one ledger run row, with its own wall time and no phases.
+        ``fingerprint`` is the point's cache address, None when the
+        point runs without a cache.
+        """
+        from ..backends import dispatch
+        from ..machine.fastcore import active_core
+
+        params_json = self.params_json(point.params)
+        identity = (
+            backend, id(kernel),
+            (point.kernel, point.records, point.workload_seed),
+            params_json, active_core(),
+            dataclasses.replace(
+                backend.simulated_config(kernel, point.config), name=""
+            ),
+        )
+        held = self._simulated.get(identity)
+        if held is None:
+            result = dispatch(
+                backend, kernel, records, point.config, point.params,
+                fingerprint=fingerprint, params_json=params_json,
+            )
+            self._simulated[identity] = (kernel, point.config.name, result)
+            return result
+        started = time.perf_counter()
+        _, name, result = held
+        result = copy.deepcopy(result)
+        if result.config == name:
+            # Backends that name their own machine keep that name.
+            result.config = point.config.name
+        if LEDGER.enabled:
+            LEDGER.record_run(
+                result, backend=backend.name, engine_core=active_core(),
+                wall_seconds=time.perf_counter() - started,
+                params=point.params, fingerprint=fingerprint,
+                cache="miss" if fingerprint is not None else "uncached",
+                phases={}, params_json=params_json,
+            )
+        return result
 
 
 #: Thread-local in/out slot for :func:`simulate_point_meta`.  The meta
@@ -181,14 +239,15 @@ def _simulate_pinned(
     When ``meta`` is a dict, ``meta["cache"]`` is set to the point's
     cache verdict (``"hit"``/``"miss"``/``"uncached"``) — what the
     claim consumers record on the DONE row — and ``meta["constants"]``,
-    when set, is the point's :class:`JobConstants`.  The kernel and
-    records are built only when the fingerprint must be computed or
-    the point is simulated: a cache hit on a precomputed fingerprint
-    builds nothing.
+    when set, is the point's :class:`JobConstants`, which simulates
+    each of the job's machines once (:meth:`JobConstants.simulate`).
+    The kernel and records are built only when the fingerprint must be
+    computed or the point missed the cache: a cache hit on a
+    precomputed fingerprint builds nothing.
     """
     # Lazy imports: repro.backends imports this package back (for the
     # fingerprint helpers), so resolving at call time avoids the cycle.
-    from ..backends import dispatch, get
+    from ..backends import get
     from ..kernels.registry import spec
 
     if point.ledger_path is not None and not LEDGER.enabled:
@@ -233,13 +292,8 @@ def _simulate_pinned(
             return cached
     if meta is not None:
         meta["cache"] = "miss" if fp is not None else "uncached"
-    result = dispatch(
-        backend, s.kernel(), constants.workload(point), point.config,
-        point.params, fingerprint=fp,
-        cache_status="miss" if fp is not None else None,
-        params_json=(
-            constants.params_json(point.params) if LEDGER.enabled else None
-        ),
+    result = constants.simulate(
+        point, backend, s.kernel(), constants.workload(point), fp
     )
     if cache is not None:
         cache.put(fp, result)

@@ -33,6 +33,23 @@ class TestCleanTree:
         assert check_case(case_from_seed(5)) is None
 
 
+class TestSimulatedConfigRule:
+    def test_every_case_checks_the_rule(self, monkeypatch):
+        """A rule that also drops the L0 data store of a kernel with
+        lookup tables changes its results, and the fuzzer says where."""
+        from repro.backends import GridBackend
+
+        def overeager(self, kernel, config):
+            return dataclasses.replace(config, l0_data=False)
+
+        case = case_from_seed(3)
+        assert case.table_size and check_case(case) is None
+        monkeypatch.setattr(GridBackend, "simulated_config", overeager)
+        failure = check_case(case)
+        assert failure is not None
+        assert failure.stage == "simulated-config:S-O-D"
+
+
 class TestCaseRoundTrip:
     def test_to_from_dict_identity(self):
         case = case_from_seed(42)

@@ -74,6 +74,65 @@ class TestPerformanceExperiments:
         assert a is b
 
 
+def spy_dispatch(monkeypatch):
+    """Log every dispatched (kernel, config name); returns the log."""
+    import repro.backends as backends
+
+    calls = []
+    dispatch = backends.dispatch
+
+    def spy(backend, kernel, records, config, *args, **kwargs):
+        calls.append((kernel.name, config.name))
+        return dispatch(backend, kernel, records, config, *args, **kwargs)
+
+    monkeypatch.setattr(backends, "dispatch", spy)
+    return calls
+
+
+class TestOneSimulationPerMachine:
+    def test_paper_sweep_dispatches_56_of_78_points(self, monkeypatch):
+        """S-O-D and M-D reuse S-O and M on the ten kernels without
+        tables, as S-O reuses S on fft and lu; each shared point still
+        gets its own timing entry and the result of its own dispatch."""
+        from repro.backends import GridBackend, dispatch
+        from repro.machine.config import named_config
+        from repro.perf.cache import run_result_to_dict
+
+        ctx = experiments.ExperimentContext(records=32,
+                                            large_kernel_records=16)
+        calls = spy_dispatch(monkeypatch)
+        experiments.figure5(ctx)
+        experiments.table4(ctx)
+        experiments.table6(ctx)
+        points = sorted((kernel, config) for _, kernel, config in ctx._keys)
+        assert len(points) == 78
+        assert len(calls) == 56 and len(set(calls)) == 56
+        assert len(ctx.point_seconds) == 78
+        shared = sorted(set(points) - set(calls))
+        assert len(shared) == 22
+        assert {config for _, config in shared} == {"S-O", "S-O-D", "M-D"}
+        for kernel, name in shared:
+            config = named_config(name)
+            direct = dispatch(GridBackend(), ctx.kernel(kernel),
+                              ctx.workload(kernel), config, ctx.params)
+            assert (run_result_to_dict(ctx.run(kernel, config))
+                    == run_result_to_dict(direct))
+
+    def test_one_name_stands_for_one_machine(self):
+        """A second machine under a name the context already used is
+        refused instead of being served the first one's address."""
+        from repro.machine import MachineConfig
+
+        ctx = experiments.ExperimentContext(records=8,
+                                            large_kernel_records=8)
+        first = ctx.run("convert", MachineConfig.S())
+        with pytest.raises(ValueError, match="'S' already names"):
+            ctx.run("convert", MachineConfig(name="S", smc_stream=True))
+        with pytest.raises(ValueError, match="'S' already names"):
+            ctx.run_many([("fft", MachineConfig(name="S"))])
+        assert ctx.run("convert", MachineConfig.S()) is first
+
+
 class TestRunnerCli:
     def test_main_with_specific_experiments(self, capsys):
         from repro.harness.runner import main

@@ -233,6 +233,147 @@ class TestJobConstants:
         assert constants.params_json(other) != constants.params_json(params)
 
 
+def spy_dispatch(monkeypatch):
+    """Log every dispatched (kernel, config name); returns the log."""
+    import repro.backends as backends
+
+    calls = []
+    dispatch = backends.dispatch
+
+    def spy(backend, kernel, records, config, *args, **kwargs):
+        calls.append((kernel.name, config.name))
+        return dispatch(backend, kernel, records, config, *args, **kwargs)
+
+    monkeypatch.setattr(backends, "dispatch", spy)
+    return calls
+
+
+class TestOneSimulationPerMachine:
+    def test_service_job_dispatches_7_of_12(self, tmp_path, monkeypatch):
+        """convert reuses S-O for S-O-D and M for M-D; fft, with no
+        constants either, also reuses S for S-O.  Every point still
+        misses the cache and gets the result of its own dispatch."""
+        from repro.perf import simulate_point
+
+        points = service_job(tmp_path)
+        expected = [
+            simulate_point(dataclasses.replace(p, cache_dir=None))
+            for p in points
+        ]
+        calls = spy_dispatch(monkeypatch)
+        session = ClaimSession(RunLedger(":memory:"), owns_store=True)
+        try:
+            assert run_points(points, jobs=1, session=session) == expected
+            verdicts = session.cache_verdicts()
+        finally:
+            session.close()
+        assert verdicts == {"miss": 12}
+        assert calls == [
+            ("convert", "baseline"), ("convert", "S"), ("convert", "S-O"),
+            ("convert", "M"),
+            ("fft", "baseline"), ("fft", "S"), ("fft", "M"),
+        ]
+
+    def test_shared_result_is_an_independent_copy(self, monkeypatch):
+        from repro.backends import get
+        from repro.kernels import spec
+        from repro.perf import simulate_point
+        from repro.perf.cache import run_result_to_dict
+        from repro.perf.parallel import JobConstants
+
+        first, second = [
+            SweepPoint(kernel="fft", config=config, params=MachineParams(),
+                       records=8, workload_seed=3)
+            for config in (MachineConfig.S(), MachineConfig.S_O())
+        ]
+        constants = JobConstants()
+        kernel = spec("fft").kernel()
+        records = constants.workload(first)
+        calls = spy_dispatch(monkeypatch)
+        original = constants.simulate(first, get("grid"), kernel, records,
+                                      None)
+        copy = constants.simulate(second, get("grid"), kernel, records, None)
+        assert calls == [("fft", "S")]
+        assert copy.config == "S-O" and original.config == "S"
+        assert copy.detail is not original.detail
+        assert copy.window is not original.window
+        assert copy.window.detail is not original.window.detail
+        assert run_result_to_dict(copy) == run_result_to_dict(
+            simulate_point(second))
+
+    def test_identity_tells_apart_params_core_and_stream(
+            self, monkeypatch):
+        """Another params object with equal content shares; other
+        params, another engine core or another stream do not."""
+        from repro.perf import simulate_point
+
+        base = SweepPoint(kernel="fft", config=MachineConfig.S(),
+                          params=MachineParams(), records=6,
+                          workload_seed=7)
+        pinned = dataclasses.replace(base, config=MachineConfig.S_O(),
+                                     engine_core="object")
+        points = [
+            base,
+            dataclasses.replace(base, config=MachineConfig.S_O(),
+                                params=MachineParams()),
+            dataclasses.replace(base, config=MachineConfig.S_O(),
+                                params=MachineParams(hop_cycles=1.0)),
+            dataclasses.replace(base, config=MachineConfig.S_O(),
+                                records=4),
+            dataclasses.replace(base, config=MachineConfig.S_O(),
+                                workload_seed=8),
+            pinned,
+            dataclasses.replace(pinned, config=MachineConfig.S_O_D()),
+        ]
+        expected = [simulate_point(p) for p in points]
+        calls = spy_dispatch(monkeypatch)
+        assert run_points(points, jobs=1) == expected
+        assert [config for _, config in calls] == [
+            "S", "S-O", "S-O", "S-O", "S-O"]
+
+    def test_backend_that_names_its_machine_keeps_the_name(
+            self, monkeypatch):
+        """The SIMD comparator names every result ``simd-array``; a
+        shared copy keeps that name rather than taking the config's."""
+        from repro.perf import simulate_point
+
+        points = [
+            SweepPoint(kernel="convert", config=MachineConfig(name=name),
+                       params=MachineParams(), records=6, workload_seed=7,
+                       backend="simd")
+            for name in ("a", "b")
+        ]
+        expected = [simulate_point(p) for p in points]
+        calls = spy_dispatch(monkeypatch)
+        results = run_points(points, jobs=1)
+        assert results == expected
+        assert [r.config for r in results] == ["simd-array", "simd-array"]
+        assert calls == [("convert", "a")]
+
+    def test_shared_points_keep_their_ledger_rows(self, tmp_path):
+        """One run row per point; a shared point's row has its own
+        near-zero wall time, no phases and the miss verdict."""
+        db = str(tmp_path / "led.sqlite")
+        points = service_job(tmp_path)
+        with ledger_to(db):
+            run_points(points, jobs=1)
+        conn = sqlite3.connect(db)
+        rows = conn.execute(
+            "SELECT kernel, config, cache, phases, wall_seconds FROM runs"
+        ).fetchall()
+        conn.close()
+        assert sorted((k, c) for k, c, *_ in rows) == sorted(
+            (p.kernel, p.config.name) for p in points)
+        assert {cache for _, _, cache, _, _ in rows} == {"miss"}
+        shared = {("convert", "S-O-D"), ("convert", "M-D"), ("fft", "S-O"),
+                  ("fft", "S-O-D"), ("fft", "M-D")}
+        for kernel, config, _, phases, wall in rows:
+            if (kernel, config) in shared:
+                assert phases == "{}" and wall < 0.05
+            else:
+                assert phases not in (None, "{}")
+
+
 class TestDurableSessions:
     def test_enqueue_fills_fingerprints_and_specs(self, tmp_path):
         store = RunLedger(str(tmp_path / "led.sqlite"))
