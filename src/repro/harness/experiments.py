@@ -151,6 +151,11 @@ class ExperimentContext:
         #: wall seconds spent simulating each point (bench reporting);
         #: non-grid points are keyed ``backend:kernel``
         self.point_seconds: Dict[Tuple[str, str], float] = {}
+        #: points this process simulated, and points that copied a
+        #: job-mate's result
+        #: (:meth:`~repro.perf.parallel.JobConstants.simulate`)
+        self.simulated_points = 0
+        self.copied_points = 0
 
     def kernel(self, name: str):
         """The (cached) built kernel for a benchmark.
@@ -279,6 +284,7 @@ class ExperimentContext:
             self.point_seconds[(self._label(b, name), config.name)] = (
                 time.perf_counter() - started
             )
+            self.simulated_points += 1
             self.cache.put(fp, result)
         return result
 
@@ -381,6 +387,8 @@ class ExperimentContext:
                     payloads, runner=_run_seq, on_adopted=_adopted
                 )
             finally:
+                self.simulated_points += session.constants.simulated
+                self.copied_points += session.constants.copied
                 session.close()
             for seq, (name, config, fp) in enumerate(missing):
                 result = payloads[seq]
@@ -402,6 +410,8 @@ class ExperimentContext:
             self._point(name, config, b) for name, config, _ in missing
         ]
         timed = run_points(points, jobs=self.jobs, timed=True)
+        # Each pool point is a job of its own, so none is a copy.
+        self.simulated_points += len(timed)
         for (name, config, fp), (result, seconds) in zip(missing, timed):
             self.cache.put(fp, result)
             self.point_seconds[(self._label(b, name), config.name)] = seconds

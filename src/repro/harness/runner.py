@@ -162,8 +162,10 @@ def run_summary(ctx: experiments.ExperimentContext) -> str:
     lines = [
         "run summary",
         f"  engine core      : {active_core()}",
-        f"  simulated points : {len(ctx.point_seconds)}"
+        f"  simulated points : {ctx.simulated_points}"
         f" ({sum(ctx.point_seconds.values()):.3f}s simulating)",
+        f"  copied points    : {ctx.copied_points}"
+        " (a job-mate simulated the same machine)",
         f"  run cache        : {stats.hits} hits / {stats.misses} misses"
         f" ({stats.hit_rate:.1%} hit rate, {stats.stores} stores)",
     ]

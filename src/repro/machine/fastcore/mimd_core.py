@@ -11,7 +11,8 @@ that vary per record.  This module compiles that function once per
 
 Each plan row is a sparse ``{basis column: addend}`` map, built that
 way from the start and merged by per-column max; a record evaluates a
-row as ``max(x[c] + v)`` over its terms, in plain Python.  The chunk
+row as ``max(x[c] + v)`` over its terms, in plain Python, with the
+first term kept apart so that a one-term row is one add.  The chunk
 loads stay concrete (they reserve SMC ports / L1 banks statefully, and
 are the ``mimd_memory`` phase), as do the store-buffer pushes.
 
@@ -27,21 +28,28 @@ after the blocking load, ``P_j = max(issue_j + 1, D_j)``.  The plan's
 symbolic pc then *rebases*: it restarts as the single term ``P_j``
 instead of carrying every column that reached it.
 
-**Pruning.**  The object loop fixes these orderings between basis
-values, whatever the memory system returns:
+**Pruning.**  Let ``m_j`` be the number of live instructions up to
+and including L1 op ``j``.  Every live instruction moves the pc forward
+by at least one cycle, and every chunk load does too, so the object
+loop fixes these orderings between basis values, whatever the memory
+system returns:
 
-* ``x[0] <= x[1]`` — the pc only moves forward through the chunk loads;
+* ``x[1] >= x[0] + chunks`` (``chunks = len(engine._chunks)``);
 * every word column ``<= x[1]`` — a chunk's pc waits for its last word;
-* ``x[1] <= P_0 <= P_1 <= ...`` — each ``P_j`` is a later pc;
+* ``P_0 >= x[1] + m_0`` and ``P_k >= P_j + (m_k - m_j)`` for ``k > j``;
 * ``D_j <= P_j`` — the blocking load waits for its data.
 
-So ``x[1], P_0, P_1, ...`` form a totally ordered *chain*, and every
-other column lies below a known chain column.  At every merge a term
-``(c, v)`` is dropped when a chain column known to be ``>= x[c]``
-carries an addend ``>= v``: that chain term is at least as large for
-every basis the object loop can produce, so the row's max — and the
-simulated timing — cannot change.  The pruning is exact, and with the
-rebase it leaves most rows a term or two wide.
+Give each column a *potential*: ``x[1]`` and the words 0, ``P_j`` and
+``D_j`` ``m_j``, ``x[0]`` ``-chunks``.  Less their potentials,
+``x[1], P_0, P_1, ...`` form a totally ordered *chain*, and every other
+column lies below a known chain column.  At every merge a term
+``(c, v)`` is dropped when a chain column ``c'`` known to lie above it
+carries an addend ``v'`` with ``v' + potential[c'] >= v +
+potential[c]``: that chain term is at least as large for every basis
+the object loop can produce, so the row's max — and the simulated
+timing — cannot change.  The pruning is exact, and with the rebase it
+leaves almost every row one term wide (every staged row of
+``blowfish|M`` and ``rijndael|M``).
 
 The instruction-loop stall total telescopes (each op's stall terms sum
 to its pc advance minus one), so the stats stay plan constants plus the
@@ -50,6 +58,7 @@ final pc.  Cycle times are Python ints, so evaluation is exact.
 
 from __future__ import annotations
 
+from ...obs.trace import TRACE
 from ...perf.phases import PHASES, perf_counter
 
 
@@ -57,23 +66,24 @@ class AffinePlan:
     """One compiled per-record timing function (fixed trip count)."""
 
     __slots__ = (
-        "n_meta", "skipped", "slots", "pc_extra", "l1_rows", "l1_meta",
-        "out_rows", "lut_trips",
+        "n_meta", "skipped", "slots", "pc_extra", "l1_steps", "out_rows",
+        "lut_trips",
     )
 
-    def __init__(self, n_meta, skipped, slots, pc_extra, l1_rows, l1_meta,
-                 out_rows, lut_trips):
+    def __init__(self, n_meta, skipped, slots, pc_extra, l1_steps, out_rows,
+                 lut_trips):
         self.n_meta = n_meta
         self.skipped = skipped
         self.slots = slots            # output slot per store row, in order
         self.pc_extra = pc_extra      # loop-control addend (plan constant)
-        #: per-L1-op issue rows (evaluation order) and address recipes
-        #: ``(base, mult, add, mem_len)``: the op's address is
-        #: ``base + (record_index * mult + add) % mem_len``.
-        self.l1_rows = l1_rows
-        self.l1_meta = l1_meta
+        #: Rows are ``(column, addend, rest)``: the term ``(column,
+        #: addend)`` plus the terms in ``rest``, mostly none.  Each L1
+        #: op, in evaluation order, has its issue row followed by its
+        #: address recipe ``(base, mult, add, mem_len)``: the address
+        #: is ``base + (record_index * mult + add) % mem_len``.
+        self.l1_steps = l1_steps
         #: pc after the instruction loop, pc after the stores, then one
-        #: issue row per store; every row is ``((column, addend), ...)``.
+        #: issue row per store.
         self.out_rows = out_rows
         self.lut_trips = lut_trips    # live LUT L1 trips per record
 
@@ -94,17 +104,36 @@ def _chain_key(base_col):
     return key
 
 
-def _prune(row, key):
+def _potentials(chunks, n_words, live_counts):
+    """Each basis column's potential, indexed by column (see Pruning).
+
+    ``live_counts`` holds ``m_j`` for each L1 op ``j`` in order.
+    """
+    potential = [-chunks, 0] + [0] * n_words
+    for m in live_counts:
+        potential += (m, m)  # D_j, P_j
+    return potential
+
+
+def _prune(row, key, potential):
     """``row`` without the terms a chain term of ``row`` dominates."""
     kept = {}
-    best = None  # largest chain addend at a larger key than the current
+    best = None  # largest chain bound at a larger key than the current
     for col in sorted(row, key=key, reverse=True):
         addend = row[col]
-        if best is None or addend > best:
+        bound = addend + potential[col]
+        if best is None or bound > best:
             kept[col] = addend
             if key(col) & 1:
-                best = addend
+                best = bound
     return kept
+
+
+def _flat(row):
+    """A row as ``(column, addend, rest)``: its first term apart from
+    the others, so a one-term row evaluates as one add."""
+    (col, addend), *rest = row.items()
+    return col, addend, tuple(rest)
 
 
 def _raise(row, other):
@@ -126,14 +155,18 @@ def build_plan(engine, trips):
     l0_latency = engine.params.l0_data_latency
     base_col = 2 + kernel.record_in
     key = _chain_key(base_col)
+    potential = _potentials(
+        len(engine._chunks), kernel.record_in,
+        [m for m, (_iid, kind, *_rest) in enumerate(meta, 1)
+         if kind == 2 or (kind == 1 and not l0_data)],
+    )
 
     # Never-executed producers read as ``start`` (basis column 0),
     # matching the reference's ``ready_at.get(p, start)``.
     at_start = {0: 0}
     ready = {}
     pc = {1: 0}  # pc starts at pc_after_chunks
-    l1_rows = []
-    l1_meta = []
+    l1_steps = []
     for iid, kind, producers, word_deps, latency, base, mem_len in meta:
         # The object loop's literal 0 floor on operands_ready never
         # binds: pc >= start >= 1 (setup is at least one cycle).
@@ -142,7 +175,7 @@ def build_plan(engine, trips):
             _raise(issue, ready.get(p, at_start))
         for w in word_deps:
             _raise(issue, {2 + w: 0})
-        issue = _prune(issue, key)
+        issue = _prune(issue, key, potential)
         if kind == 0:
             ready[iid] = _shift(issue, latency)
             pc = _shift(issue, 1)
@@ -152,12 +185,12 @@ def build_plan(engine, trips):
         else:
             # L1 round trip: rebase on the two columns the evaluation
             # fills in, D_j (data return) and P_j (pc after the load).
-            done = base_col + 2 * len(l1_rows)
-            l1_rows.append(tuple(issue.items()))
+            done = base_col + 2 * len(l1_steps)
             if kind == 1:
-                l1_meta.append((base, 31, iid, mem_len))
+                recipe = (base, 31, iid, mem_len)
             else:
-                l1_meta.append((base, 97, iid * 13, mem_len))
+                recipe = (base, 97, iid * 13, mem_len)
+            l1_steps.append(_flat(issue) + recipe)
             ready[iid] = {done: 0}
             pc = {done + 1: 0}
 
@@ -167,7 +200,7 @@ def build_plan(engine, trips):
         if producer >= 0:
             issue = dict(pc)
             _raise(issue, ready.get(producer, at_start))
-            issue = _prune(issue, key)
+            issue = _prune(issue, key, potential)
         rows.append(issue)  # store issue; +edge happens at evaluation
         pc = _shift(issue, 1)
     rows.insert(1, pc)  # pc after the stores
@@ -185,9 +218,8 @@ def build_plan(engine, trips):
         skipped=skipped,
         slots=[slot for slot, _producer in outs],
         pc_extra=pc_extra,
-        l1_rows=l1_rows,
-        l1_meta=l1_meta,
-        out_rows=[tuple(row.items()) for row in rows],
+        l1_steps=l1_steps,
+        out_rows=[_flat(row) for row in rows],
         lut_trips=0 if l0_data else live_luts,
     )
 
@@ -247,21 +279,29 @@ def run_record(engine, node, start, record, record_index):
         PHASES.add("mimd_memory", perf_counter() - mem_started)
     x[1] = pc_time
 
-    if plan.l1_meta:
+    if plan.l1_steps:
         # Staged L1 round trips, charged to the engine phase like the
         # object loop's: resolve each op's issue cycle from the basis
         # filled so far, make the real access, and append D_j and P_j.
-        l1_access = memory.l1_access
+        # Each access is one fused call; a traced run takes the
+        # per-access path, which emits the L1 bank events.
+        l1_read = memory.l1_access if TRACE.enabled else memory.l1.timed_read
         append = x.append
-        for terms, (base, mult, add, mem_len) in zip(plan.l1_rows,
-                                                     plan.l1_meta):
-            issue = max([x[c] + v for c, v in terms])
+        for col, addend, rest, base, mult, add, mem_len in plan.l1_steps:
+            issue = x[col] + addend
+            for c, v in rest:
+                if x[c] + v > issue:
+                    issue = x[c] + v
             address = base + (record_index * mult + add) % mem_len
-            done = l1_access(address, issue + edge) + edge
+            done = l1_read(address, issue + edge) + edge
             append(done)
             append(done if done > issue + 1 else issue + 1)
 
-    vals = [max([x[c] + v for c, v in terms]) for terms in plan.out_rows]
+    vals = [
+        max(x[col] + addend, *[x[c] + v for c, v in rest]) if rest
+        else x[col] + addend
+        for col, addend, rest in plan.out_rows
+    ]
     # Instruction-loop stalls telescope: sum(issue - pc) over the loop
     # is the final pc minus the entry pc minus one step per instruction.
     load_stalls += vals[0] - pc_time - plan.n_meta

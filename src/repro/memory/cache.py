@@ -144,6 +144,70 @@ class BankedL1:
             )
         return grant + latency
 
+    def timed_read(self, address: int, cycle: int) -> int:
+        """:meth:`timed_access` for one untraced read, in one call.
+
+        Does the work of :meth:`bank_of`, a one-port
+        :meth:`PortQueue.reserve` and :meth:`SetAssocCache.access`
+        inline, with the same set indexing, so its ready cycles, tag
+        and LRU state, statistics and port state equal the sequential
+        calls'.  Port and set state are read through the bank objects on
+        every call (:meth:`SetAssocCache.flush` replaces ``_sets``).
+        ``cycle`` is an int.  It emits no trace event; a traced run
+        calls :meth:`timed_access`.
+        """
+        line = address // self.line_words
+        bank = line % len(self.banks)
+        port = self.ports[bank]
+        if port.ports != 1:
+            raise ValueError(
+                f"timed_read needs one port per bank; {port.name} has "
+                f"{port.ports}"
+            )
+        # One-port reserve.  Every entry of ``_used`` is a full cycle,
+        # and each grant path collects the full cycles from the frontier
+        # on, so the frontier's own cycle is free on entry: only a grant
+        # there moves it.
+        used = port._used
+        frontier = port._frontier
+        grant = cycle if cycle > frontier else frontier
+        while grant in used:
+            grant += 1
+        if grant == frontier:
+            frontier += 1
+            while frontier in used:
+                del used[frontier]
+                frontier += 1
+            port._frontier = frontier
+        else:
+            used[grant] = 1
+        port.total_requests += 1
+        port.total_wait += grant - cycle
+
+        cache = self.banks[bank]
+        n_sets = cache.n_sets
+        ways = cache._sets[line % n_sets]
+        tag = line // n_sets
+        stats = cache.stats
+        stats.accesses += 1
+        if ways and ways[-1][0] == tag:  # already most recently used
+            stats.hits += 1
+            return grant + self.hit_latency
+        for i, way in enumerate(ways):
+            if way[0] == tag:
+                del ways[i]
+                ways.append(way)
+                stats.hits += 1
+                return grant + self.hit_latency
+        stats.misses += 1
+        if len(ways) >= cache.assoc:
+            _, victim_dirty = ways.pop(0)
+            stats.evictions += 1
+            if victim_dirty:
+                stats.writebacks += 1
+        ways.append((tag, False))
+        return grant + self.hit_latency + self.l2_latency
+
     def timed_access_batch(
         self,
         addresses: Sequence[int],

@@ -44,22 +44,5 @@ class StreamChannel:
         self.meter.record_many(cycles)
         return cycles
 
-    def deliver_batch(self, ready_cycles: List[int]) -> List[int]:
-        """Deliver one word per entry of ``ready_cycles``, in order.
-
-        Equivalent to ``[self.deliver(r, 1)[0] for r in ready_cycles]``
-        (the scattered MIMD request shape) with the per-word Python call
-        overhead hoisted out.
-        """
-        reserve = self.slots.reserve
-        record = self.meter.record
-        cycles = []
-        append = cycles.append
-        for ready in ready_cycles:
-            grant = reserve(ready)
-            record(grant)
-            append(grant)
-        return cycles
-
     def reset(self) -> None:
         self.slots.reset()

@@ -52,13 +52,6 @@ class PortQueue:
         self.total_wait += cycle - int(earliest)
         return cycle
 
-    def reserve_many(self, earliest: int, count: int) -> int:
-        """Reserve ``count`` consecutive-issue slots; return the last cycle."""
-        last = int(earliest)
-        for _ in range(count):
-            last = self.reserve(last)
-        return last
-
     def reserve_batch(self, earliest: int, count: int) -> list:
         """Grant ``count`` same-arrival requests in one pass.
 

@@ -128,24 +128,71 @@ class MemorySystem:
     ) -> List[int]:
         """Batched twin of :meth:`lmw_deliver` for the engine hot loops.
 
-        One SMC-port batch reservation and one channel pass time a whole
-        LMW chunk per call; :meth:`lmw_deliver` stays as the executable
-        reference specification, and the equivalence suite pins the two
-        to identical per-word delivery cycles, port stats and channel
-        meter state.  (The port and channel are independent queues, so
-        granting all port slots before all channel slots preserves each
-        queue's request order.)
+        One call times a whole LMW chunk; :meth:`lmw_deliver` stays as
+        the executable reference specification, and the equivalence
+        suite pins the two to identical per-word delivery cycles, port
+        stats and channel meter state.  A burst takes one SMC-port grant
+        and one channel batch.  A scattered chunk grants each word its
+        SMC port slot and then its channel slot in one pass, with both
+        queues' state in local variables.  (The port and channel are
+        independent queues, and each sees its requests in the reference
+        order.)
         """
         bank = self.smc_bank(row)
         latency = self.timings.smc_latency
-        if scattered:
-            grants = bank.port.reserve_batch(request_cycle, words)
-            cycles = self.channels[row].deliver_batch(
-                [grant + latency for grant in grants]
-            )
-        else:
+        channel = self.channels[row]
+        if not scattered:
             grant = bank.port.reserve(request_cycle)
-            cycles = self.channels[row].deliver_burst(grant + latency, words)
+            cycles = channel.deliver_burst(grant + latency, words)
+        else:
+            # Each word takes its own port slot, all arriving at
+            # ``request``, then the first channel slot at or after its
+            # grant plus the latency: PortQueue.reserve_batch's loop for
+            # the port and PortQueue.reserve's for the channel.
+            request = int(request_cycle)
+            port = bank.port
+            p_used = port._used
+            p_ports = port.ports
+            grant = request if request > port._frontier else port._frontier
+            slots = channel.slots
+            c_used = slots._used
+            c_ports = slots.ports
+            c_frontier = slots._frontier
+            cycles = []
+            append = cycles.append
+            p_wait = c_wait = 0
+            for _ in range(words):
+                have = p_used.get(grant, 0)
+                while have >= p_ports:
+                    grant += 1
+                    have = p_used.get(grant, 0)
+                p_used[grant] = have + 1
+                p_wait += grant - request
+                ready = grant + latency
+                cycle = ready if ready > c_frontier else c_frontier
+                taken = c_used.get(cycle, 0)
+                while taken >= c_ports:
+                    cycle += 1
+                    taken = c_used.get(cycle, 0)
+                c_used[cycle] = taken + 1
+                if taken + 1 >= c_ports:
+                    while c_used.get(c_frontier, 0) >= c_ports:
+                        del c_used[c_frontier]
+                        c_frontier += 1
+                c_wait += cycle - ready
+                append(cycle)
+            # The port's lazy GC fixpoint, as reserve_batch leaves it.
+            p_frontier = port._frontier
+            while p_used.get(p_frontier, 0) >= p_ports:
+                del p_used[p_frontier]
+                p_frontier += 1
+            port._frontier = p_frontier
+            port.total_requests += words
+            port.total_wait += p_wait
+            slots._frontier = c_frontier
+            slots.total_requests += words
+            slots.total_wait += c_wait
+            channel.meter.record_many(cycles)
         if TRACE.enabled and cycles:
             self._trace_lmw(row, request_cycle, cycles, scattered)
         return cycles

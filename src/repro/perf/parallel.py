@@ -131,6 +131,9 @@ class JobConstants:
         #: simulation identity -> (kernel, config name, result); holding
         #: the kernel keeps its id from being reused by another.
         self._simulated: Dict[tuple, Tuple[object, str, RunResult]] = {}
+        #: points :meth:`simulate` dispatched, and points it copied
+        self.simulated = 0
+        self.copied = 0
 
     def workload(self, point: SweepPoint) -> list:
         """The point's record stream, generated once per job."""
@@ -183,7 +186,9 @@ class JobConstants:
                 fingerprint=fingerprint, params_json=params_json,
             )
             self._simulated[identity] = (kernel, point.config.name, result)
+            self.simulated += 1
             return result
+        self.copied += 1
         started = time.perf_counter()
         _, name, result = held
         result = copy.deepcopy(result)

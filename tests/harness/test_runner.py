@@ -22,6 +22,21 @@ class TestRunSummary:
         assert "1 hits / 1 misses" in text
         assert "simulated points : 1" in text
 
+    def test_counts_copied_points_apart_from_simulated(self, monkeypatch):
+        """A point whose machine a job-mate already simulated is a copy:
+        convert has no lookup tables, so its S-O-D point runs the S-O
+        machine and copies that result."""
+        monkeypatch.setattr(
+            experiments, "effective_workers", lambda jobs, n: 1
+        )
+        ctx = small_context()
+        ctx.run_many([("convert", named_config("S-O")),
+                      ("convert", named_config("S-O-D"))])
+        text = runner.run_summary(ctx)
+        assert "simulated points : 1 " in text
+        assert "copied points    : 1 " in text
+        assert len(ctx.point_seconds) == 2  # the bench still times both
+
     def test_includes_last_dispatch_when_present(self, monkeypatch):
         stats = parallel.DispatchStats(points=4, workers=1, mode="serial")
         monkeypatch.setattr(parallel, "LAST_DISPATCH", stats)

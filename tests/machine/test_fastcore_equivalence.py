@@ -366,7 +366,7 @@ class TestMimdCoreEquivalence:
         assert set(plans) == {kernel.trip_count(r) for r in records}
         if name == "vertex-skinning":
             assert len(plans) == kernel.loop.max_trips == 4
-        assert all(plan.l1_meta for plan in plans.values())
+        assert all(plan.l1_steps for plan in plans.values())
         assert r_fast == r_ref
         assert fast.stats == reference.stats
         assert (fast.memory.metrics_snapshot()
@@ -383,45 +383,70 @@ class TestMimdCoreEquivalence:
     def test_plans_keep_only_terms_that_can_bind(self):
         """Rebasing at every L1 op and pruning chain-dominated terms
         keep plan rows narrow: every dct|M output row is one term (the
-        pc after the chunk loads dominates each word column), and
-        rijndael|M's staged LUT rows average at most four per op."""
+        pc after the chunk loads dominates each word column), and so is
+        every staged LUT row of blowfish|M and rijndael|M (the pc after
+        the previous lookup, plus the instructions between, dominates
+        the lookup's operands)."""
         dct = self._plan("dct", MachineConfig.M())
         assert len(dct.out_rows) == 2 + len(dct.slots)
-        assert all(len(row) == 1 for row in dct.out_rows)
-        rijndael = self._plan("rijndael", MachineConfig.M())
-        assert len(rijndael.l1_rows) == len(rijndael.l1_meta) > 0
-        terms = sum(len(row) for row in rijndael.l1_rows)
-        assert terms <= 4 * len(rijndael.l1_rows)
+        assert all(rest == () for _c, _v, rest in dct.out_rows)
+        for name in ("blowfish", "rijndael"):
+            plan = self._plan(name, MachineConfig.M())
+            assert plan.l1_steps
+            assert all(rest == () for _c, _v, rest, *_ in plan.l1_steps)
 
-    def test_pruning_is_exact_under_the_stated_orderings(self):
+    def test_pruning_is_exact_at_tight_gaps(self):
         """Pruning may lean only on the orderings the ``mimd_core``
-        docstring states — ``x[0] <= x[1]``, words ``<= x[1]``,
-        ``x[1] <= P_0 <= P_1 <= ...``, ``D_j <= P_j`` — so every row
-        keeps its max on random bases satisfying just those.  (Real
-        memory timings leave wide gaps along the chain, which the
-        record-level tests above cannot tell from an over-eager rule.)"""
+        docstring states — ``x[1] >= x[0] + chunks``, words ``<= x[1]``,
+        ``P_0 >= x[1] + m_0``, ``P_k >= P_j + (m_k - m_j)``,
+        ``D_j <= P_j`` — so every row keeps its max on random bases that
+        meet just those, most of them with no slack at all.  Real memory
+        timings leave wide gaps, which the record-level tests above
+        cannot tell from an over-eager rule."""
         rng = random.Random(13)
         n_words, n_l1 = 3, 4
         base_col = 2 + n_words
         width = base_col + 2 * n_l1
         key = mimd_core._chain_key(base_col)
+        gaps = []
+
+        def gap():
+            gaps.append(0 if rng.random() < 0.6 else rng.randint(1, 3))
+            return gaps[-1]
+
         dropped = 0
-        for _ in range(3000):
-            x1 = rng.randint(0, 6)
-            x = [rng.randint(0, x1), x1]
-            x += [rng.randint(0, x1) for _ in range(n_words)]
-            pc = x1
+        for _ in range(4000):
+            chunks = rng.randint(0, 2)
+            live_counts = []
             for _ in range(n_l1):
-                pc += rng.randint(0, 2)
-                x += [rng.randint(0, pc), pc]  # D_j, P_j
-            row = {rng.randrange(width): rng.randint(0, 6)
-                   for _ in range(rng.randint(1, 8))}
-            kept = mimd_core._prune(row, key)
+                live_counts.append(
+                    (live_counts[-1] if live_counts else 0)
+                    + rng.randint(1, 3)
+                )
+            x1 = rng.randint(0, 4) + chunks
+            x = [x1 - chunks - gap(), x1]
+            x += [x1 - gap() for _ in range(n_words)]
+            pc, m_prev = x1, 0
+            for m in live_counts:
+                pc += m - m_prev + gap()
+                m_prev = m
+                x += [pc - gap(), pc]  # D_j, P_j
+            cols = [rng.randrange(width) for _ in range(rng.randint(2, 8))]
+            if rng.random() < 0.5:
+                row = {c: rng.randint(0, 12) for c in cols}
+            else:
+                # Near-ties: every term lands within a cycle of one
+                # value, so each keep-or-drop decision is decisive.
+                target = max(x) + rng.randint(0, 3)
+                row = {c: target - x[c] + rng.randint(-1, 1) for c in cols}
+            potential = mimd_core._potentials(chunks, n_words, live_counts)
+            kept = mimd_core._prune(row, key, potential)
             assert kept.items() <= row.items()
             assert (max(x[c] + v for c, v in kept.items())
                     == max(x[c] + v for c, v in row.items()))
             dropped += len(row) - len(kept)
         assert dropped > 0
+        assert 2 * gaps.count(0) >= len(gaps)
 
 
 class TestProcessorEquivalence:

@@ -1,18 +1,19 @@
 """Batched memory-subsystem APIs vs their sequential reference loops.
 
 The engine hot paths call batch twins (``reserve_batch``,
-``deliver_burst``/``deliver_batch``, ``push_many``, ``lmw_deliver_fast``,
-``smc_store_many``, ``timed_access_batch``/``l1_access_batch``) that
-must be bit-identical — in returned cycles, statistics and internal
-queue/tag state — to the original one-call-per-word methods, which stay
-in the code as executable reference specifications.
+``deliver_burst``, ``push_many``, ``lmw_deliver_fast``,
+``smc_store_many``, ``timed_access_batch``/``l1_access_batch``,
+``timed_read``) that must be bit-identical — in returned cycles,
+statistics and internal queue/tag state — to the original
+one-call-per-word methods, which stay in the code as executable
+reference specifications.
 """
 
 import random
 
 import pytest
 
-from repro.memory import MemorySystem
+from repro.memory import MemorySystem, MemoryTimings
 from repro.memory.cache import BankedL1
 from repro.memory.channels import StreamChannel
 from repro.memory.ports import PortQueue, ThroughputMeter
@@ -86,15 +87,6 @@ class TestStreamChannelBatch:
         batched = StreamChannel(words_per_cycle=4)
         reference = StreamChannel(words_per_cycle=4)
         assert batched.deliver_burst(5, words) == reference.deliver(5, words)
-        assert channel_state(batched) == channel_state(reference)
-
-    def test_batch_matches_scattered_deliver(self):
-        ready = [4, 1, 1, 9, 2, 2, 2, 6]
-        batched = StreamChannel(words_per_cycle=2)
-        reference = StreamChannel(words_per_cycle=2)
-        cycles = batched.deliver_batch(ready)
-        expected = [reference.deliver(r, 1)[0] for r in ready]
-        assert cycles == expected
         assert channel_state(batched) == channel_state(reference)
 
 
@@ -220,6 +212,51 @@ class TestBankedL1Batch:
         assert fast.metrics_snapshot() == reference.metrics_snapshot()
 
 
+class TestBankedL1FusedRead:
+    """``BankedL1.timed_read`` (the MIMD core's staged L1 round trip)
+    vs sequential ``timed_access`` reads."""
+
+    def test_matches_timed_access_across_flush_and_reset(self):
+        rng = random.Random(17)
+        fused, reference = small_l1(), small_l1()
+        for _ in range(60):
+            # Earlier reads and writes leave dirty lines behind, so the
+            # read streams below evict them and write them back.
+            a, c, w = rng.randrange(0, 4096), rng.randrange(0, 40), \
+                rng.random() < 0.5
+            assert fused.timed_access(a, c, write=w) == \
+                reference.timed_access(a, c, write=w)
+        for step in range(3):
+            before = fused.stats
+            addresses = [rng.randrange(0, 4096) for _ in range(150)]
+            cycles = [rng.randrange(0, 200) for _ in range(150)]
+            got = [fused.timed_read(a, c) for a, c in zip(addresses, cycles)]
+            want = [reference.timed_access(a, c)
+                    for a, c in zip(addresses, cycles)]
+            assert got == want
+            assert l1_state(fused) == l1_state(reference)
+            after = fused.stats
+            assert after.hits > before.hits
+            assert after.evictions > before.evictions
+            assert after.writebacks > before.writebacks
+            for cache in (fused, reference):
+                if step == 0:
+                    for bank in cache.banks:
+                        bank.flush()
+                else:
+                    cache.reset_timing()
+                for a in addresses[:40]:
+                    cache.timed_access(a, 5, write=True)
+            assert l1_state(fused) == l1_state(reference)
+
+    def test_rejects_a_bank_with_more_than_one_port(self):
+        l1 = small_l1()
+        l1.ports[1] = PortQueue(2, name="L1p1")
+        assert l1.timed_read(0, 3) == small_l1().timed_access(0, 3)
+        with pytest.raises(ValueError, match="one port"):
+            l1.timed_read(l1.line_words, 3)  # the next line: bank 1
+
+
 def smc_memory():
     memory = MemorySystem(rows=4)
     memory.configure_smc(True)
@@ -238,6 +275,36 @@ class TestMemorySystemFastPaths:
             port_state(reference.smc_bank(1).port)
         assert channel_state(fast.channels[1]) == \
             channel_state(reference.channels[1])
+
+    @pytest.mark.parametrize("channel_words", [1, 2, 4])
+    def test_scattered_pass_after_random_traffic(self, channel_words):
+        """The one-pass scattered chunk entering queues that bursts and
+        earlier chunks left half full, at out-of-order request cycles."""
+        rng = random.Random(channel_words)
+
+        def memory():
+            m = MemorySystem(rows=2, timings=MemoryTimings(
+                channel_words_per_cycle=channel_words))
+            m.configure_smc(True)
+            return m
+
+        fast, reference = memory(), memory()
+        for _ in range(30):
+            cycle, words = rng.randrange(0, 60), rng.randint(1, 9)
+            scattered = rng.random() < 0.5
+            assert fast.lmw_deliver(1, cycle, words, scattered=scattered) \
+                == reference.lmw_deliver(1, cycle, words,
+                                         scattered=scattered)
+        for _ in range(40):
+            cycle, words = rng.randrange(0, 120), rng.randint(0, 10)
+            got = fast.lmw_deliver_fast(1, cycle, words, scattered=True)
+            want = reference.lmw_deliver(1, cycle, words, scattered=True)
+            assert got == want
+        assert port_state(fast.smc_bank(1).port) == \
+            port_state(reference.smc_bank(1).port)
+        assert channel_state(fast.channels[1]) == \
+            channel_state(reference.channels[1])
+        assert fast.metrics_snapshot() == reference.metrics_snapshot()
 
     def test_interleaved_fast_and_reference_traffic(self):
         """Fast and reference calls can interleave on one system without

@@ -42,10 +42,6 @@ class TestPortQueue:
         usage = Counter(grants)
         assert max(usage.values()) <= ports
 
-    def test_reserve_many_returns_last_cycle(self):
-        q = PortQueue(1)
-        assert q.reserve_many(0, 3) == 2
-
     def test_average_wait_accounting(self):
         q = PortQueue(1)
         for _ in range(3):
