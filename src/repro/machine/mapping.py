@@ -164,6 +164,10 @@ class MappedWindow:
         self.issue_order: Optional[List[int]] = None
         #: deferred-expansion template (array core only)
         self._lazy: Optional[_LazyExpansion] = None
+        #: memoized steady window of a cached window: the warm
+        #: ``WindowTiming`` and the memory snapshot it leaves, filled by
+        #: the first block-style run (see ``GridProcessor._steady_window``)
+        self.steady: Optional[Tuple] = None
 
     @property
     def useful_per_iteration(self) -> int:

@@ -10,7 +10,9 @@ Measurement strategy (documented in DESIGN.md):
   of concurrently-resident iterations is simulated cycle by cycle, twice —
   the first pass warms the caches/tables, the second (with advanced
   record addresses, so streams stay cold but tables stay warm) is the
-  steady-state window.  The run is then windows composed in sequence:
+  steady-state window.  The mapping fixes that schedule, not the data,
+  so the steady window is simulated once per cached window and reused.
+  The run is then windows composed in sequence:
 
   - baseline: consecutive hyperblock windows pipeline behind block fetch,
     so the steady interval is ``max(window cycles, fetch cycles)``;
@@ -32,7 +34,8 @@ issue slots on them).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..check.sanitizer import SANITIZER
 from ..isa.evaluate import evaluate_stream
@@ -50,7 +53,7 @@ from .mimd_engine import MimdEngine, check_capacity
 from .params import MachineParams
 from .revitalize import RevitalizationController
 from .stats import RunResult, WindowTiming
-from .window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
+from .window_cache import SHARED_WINDOW_CACHE, WINDOW_LOCK, MappedWindowCache
 
 Number = Union[int, float]
 Record = Sequence[Number]
@@ -152,7 +155,7 @@ class GridProcessor:
             elapsed = perf_counter() - started
             mem_delta = PHASES.seconds.get("mimd_memory", 0.0) - mem_before
             PHASES.add("mimd_engine", elapsed - mem_delta)
-        self._publish_memory(memory, result)
+        self._publish_memory(memory.metrics_snapshot(), result)
         return result
 
     # ---- block-style path ---------------------------------------------------------
@@ -163,10 +166,9 @@ class GridProcessor:
         params = self.params
         if config.l0_data:
             self.check(kernel, config)
-        memory = self._fresh_memory(config)
         n_records = len(records)
 
-        window = self._steady_window(kernel, config, memory, n_records)
+        window, snapshot = self._steady_window(kernel, config, n_records)
         U = window.iterations
         n_windows = math.ceil(n_records / U)
 
@@ -247,17 +249,17 @@ class GridProcessor:
             detail=dict(window.detail),
         )
         result.detail["revitalize.broadcasts"] = float(broadcasts)
-        self._publish_memory(memory, result)
+        self._publish_memory(snapshot, result)
         return result
 
     def _steady_window(
         self,
         kernel: Kernel,
         config: MachineConfig,
-        memory: MemorySystem,
         n_records: int,
-    ) -> WindowTiming:
-        """Simulate two consecutive windows; return the warm second one.
+    ) -> Tuple[WindowTiming, Dict[str, float]]:
+        """The warm second of two consecutive windows, and the memory
+        snapshot it leaves.
 
         The structure is mapped once (via the in-process
         :class:`~repro.machine.window_cache.MappedWindowCache`) and
@@ -266,53 +268,74 @@ class GridProcessor:
         calls, per the equivalence suite.  Under the array core the
         window is still lazy at this point, so the rebase is O(1)
         (template bookkeeping only, no per-instance writes).
+
+        Neither pass reads record values: the stream sets only ``U``,
+        which keys the cache.  So the first run of a cached window
+        memoizes both results on it (``MappedWindow.steady``) and later
+        runs return copies, building no memory system and running no
+        engine.  While TRACE, METRICS or SANITIZER observes, both passes
+        run anyway, so observers see every event and check.
+        ``WINDOW_LOCK`` spans the lookup, the passes and the memo store:
+        another thread's hit would rebase the shared window under a
+        warm pass.
         """
         U = min(window_iterations(kernel, config, self.params),
                 max(1, n_records))
         phases = PHASES.enabled
-        place_before = PHASES.seconds.get("placement", 0.0) if phases else 0.0
-        started = perf_counter() if phases else 0.0
-        window = self.window_cache.get_or_map(
-            kernel, config, self.params, U, record_offset=0
-        )
-        if phases:
-            # ``place_iterations`` credits its own time to "placement";
-            # subtract it so "window_map" (expansion, cache handling and
-            # rebasing) stays disjoint and the phases sum cleanly.
-            elapsed = perf_counter() - started
-            place_delta = (
-                PHASES.seconds.get("placement", 0.0) - place_before
+        with WINDOW_LOCK:
+            place_before = (
+                PHASES.seconds.get("placement", 0.0) if phases else 0.0
             )
-            PHASES.add("window_map", elapsed - place_delta)
-            started = perf_counter()
-        # The cold pass only warms caches/tables; suppress metrics and
-        # trace events so observers see the steady-state window once.
-        with observability_paused():
-            DataflowEngine(window, memory, seed=1).run()
-        if phases:
-            PHASES.add("block_engine", perf_counter() - started)
-            started = perf_counter()
-        memory.reset_timing()
-        rebase_window(window, U)
-        if phases:
-            PHASES.add("window_map", perf_counter() - started)
-            started = perf_counter()
-        timing = DataflowEngine(window, memory, seed=2).run()
-        if phases:
-            PHASES.add("block_engine", perf_counter() - started)
-        return timing
+            started = perf_counter() if phases else 0.0
+            window = self.window_cache.get_or_map(
+                kernel, config, self.params, U, record_offset=0
+            )
+            if phases:
+                # ``place_iterations`` credits its own time to
+                # "placement"; subtract it so "window_map" (expansion,
+                # cache handling and rebasing) stays disjoint and the
+                # phases sum cleanly.
+                elapsed = perf_counter() - started
+                place_delta = (
+                    PHASES.seconds.get("placement", 0.0) - place_before
+                )
+                PHASES.add("window_map", elapsed - place_delta)
+            steady = window.steady
+            if (steady is None or TRACE.enabled or METRICS.enabled
+                    or SANITIZER.enabled):
+                memory = self._fresh_memory(config)
+                started = perf_counter() if phases else 0.0
+                # The cold pass only warms caches/tables; suppress
+                # metrics and trace events so observers see the
+                # steady-state window once.
+                with observability_paused():
+                    DataflowEngine(window, memory, seed=1).run()
+                if phases:
+                    PHASES.add("block_engine", perf_counter() - started)
+                    started = perf_counter()
+                memory.reset_timing()
+                rebase_window(window, U)
+                if phases:
+                    PHASES.add("window_map", perf_counter() - started)
+                    started = perf_counter()
+                timing = DataflowEngine(window, memory, seed=2).run()
+                if phases:
+                    PHASES.add("block_engine", perf_counter() - started)
+                steady = window.steady = (timing, memory.metrics_snapshot())
+        # Copies: no two results share a mutable detail dict.
+        timing, snapshot = steady
+        return replace(timing, detail=dict(timing.detail)), dict(snapshot)
 
     # ---- shared helpers --------------------------------------------------------------
 
     @staticmethod
-    def _publish_memory(memory: MemorySystem, result: RunResult) -> None:
+    def _publish_memory(snapshot: Dict[str, float], result: RunResult) -> None:
         """Fold the hierarchy's traffic summary into the run's detail.
 
         Always recorded in ``RunResult.detail`` (one cheap snapshot per
         run); merged into the process-wide registry only when metrics
         collection is on.
         """
-        snapshot = memory.metrics_snapshot()
         result.detail.update(snapshot)
         if METRICS.enabled:
             METRICS.merge(snapshot)

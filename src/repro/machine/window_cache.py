@@ -27,10 +27,21 @@ mutate a window they execute, and every cache hit is rebased to the
 requested offset before being returned.  Callers that want a private
 window (e.g. to corrupt it in a test) should call ``map_window``
 directly, which always builds fresh.
+
+A cached window also carries its *steady window* (``MappedWindow.steady``):
+the warm-pass timing and memory snapshot that the processor's first
+block-style run of it measured.  The record stream sets only the
+iteration count, which is part of the key, so every later run of the
+window reuses that memo.  It lives and dies with its entry: ``clear()``
+and LRU eviction drop it.  Because a rebase moves a window that another
+thread may be timing, :data:`WINDOW_LOCK` serializes the processor's
+lookup, passes and memo store.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from typing import Tuple
 
@@ -119,3 +130,18 @@ class MappedWindowCache:
 #: Process-wide cache shared by every GridProcessor (windows are pure
 #: content-addressed structures, so sharing across processors is safe).
 SHARED_WINDOW_CACHE = MappedWindowCache()
+
+#: Held by ``GridProcessor._steady_window`` from ``get_or_map`` (which
+#: rebases a hit in place) through the warm pass and the memo store, so
+#: no thread rebases a window while another times it.  One lock serves
+#: every window: the GIL already serializes simulation, and once a
+#: window's memo is filled the locked section is a lookup.  Nothing
+#: inside it takes another lock.  ``fork()`` takes it first, so a pool
+#: worker is never forked while another thread is mid-rebase.
+WINDOW_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=WINDOW_LOCK.acquire,
+        after_in_parent=WINDOW_LOCK.release,
+        after_in_child=WINDOW_LOCK.release,
+    )

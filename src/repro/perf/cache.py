@@ -146,8 +146,10 @@ class RunCache:
                 # sort_keys: detail dicts accumulate in whatever order a
                 # simulator touched them; sorting makes the on-disk doc
                 # byte-stable for identical content (ledger rows and
-                # cache docs can be compared byte-for-byte).
-                json.dump(run_result_to_dict(result), fh, sort_keys=True)
+                # cache docs can be compared byte-for-byte).  ``dumps``
+                # encodes in C; ``dump`` would stream through the
+                # pure-Python encoder, byte-identical but slower.
+                fh.write(json.dumps(run_result_to_dict(result), sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             pass  # a read-only cache directory degrades to memory-only

@@ -7,11 +7,22 @@ field-for-field identical to a fresh ``map_window`` call at the
 requested offset, regardless of hit/miss history.
 """
 
-from repro.kernels import spec
+import sys
+import threading
+
+import pytest
+
+from repro.check.sanitizer import checking
+from repro.kernels import all_specs, spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
-    map_window
+    TABLE5_CONFIGS, map_window
+from repro.machine import processor as processor_mod
+from repro.machine.config import named_config
 from repro.machine.fastcore import using_core
+from repro.machine.mapping import window_iterations
 from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
+from repro.memory.system import MemorySystem
+from repro.obs import METRICS, TRACE, collecting, recording
 from repro.perf import fingerprint_kernel
 
 
@@ -121,3 +132,311 @@ class TestProcessorIntegration:
         second = processor.run(kernel, records, MachineConfig.S())
         assert cache.hits >= 1
         assert second == first
+
+
+#: The configurations whose runs replay one mapped window per window of
+#: records (the MIMD configurations run every record instead).
+BLOCK_CONFIGS = ("baseline", "S", "S-O", "S-O-D")
+
+#: The keys ``MemorySystem.metrics_snapshot`` folds into a run's detail.
+MEMORY_KEYS = tuple(MemorySystem().metrics_snapshot())
+
+
+def memory_detail(result):
+    return {key: result.detail[key] for key in MEMORY_KEYS}
+
+
+def engine_runs(monkeypatch):
+    """Count the dataflow engines the processor builds (a list of seeds)."""
+    seeds = []
+    engine = processor_mod.DataflowEngine
+
+    def counting_engine(window, memory, seed):
+        seeds.append(seed)
+        return engine(window, memory, seed=seed)
+
+    monkeypatch.setattr(processor_mod, "DataflowEngine", counting_engine)
+    return seeds
+
+
+class TestSteadyWindowPremise:
+    """The memo's premise: a block-style point's steady window depends on
+    the window-cache key alone, never on the record values or on how
+    many windows the stream holds."""
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    @pytest.mark.parametrize("name", [s.name for s in all_specs()])
+    def test_steady_window_ignores_record_data(self, name, core):
+        s = spec(name)
+        kernel, params = s.kernel(), MachineParams()
+        for config_name in BLOCK_CONFIGS:
+            config = named_config(config_name)
+            if not GridProcessor(params).supports(kernel, config):
+                continue
+            # A stream of U records fills one window; a longer one keeps U.
+            U = window_iterations(kernel, config, params)
+            runs = []
+            with using_core(core):
+                for seed, records in ((1, U), (2, U), (3, 2 * U + 1)):
+                    processor = GridProcessor(
+                        params, window_cache=MappedWindowCache()
+                    )
+                    runs.append(processor.run(
+                        kernel, s.workload(records, seed), config
+                    ))
+            first = runs[0]
+            for other in runs[1:]:
+                assert other.window == first.window, config_name
+                assert memory_detail(other) == memory_detail(first), \
+                    config_name
+
+
+#: A slice of mixed service-style traffic: each kernel under every
+#: configuration (MIMD included), two seeds, two stream lengths.
+MIXED_KERNELS = ("convert", "fft", "fragment-simple", "md5")
+
+
+class TestSteadyWindowMemo:
+    def test_mixed_sequence_equals_fresh_cache_runs(self):
+        params = MachineParams()
+        shared = GridProcessor(params, window_cache=MappedWindowCache())
+        for seed in (11, 12):
+            for records in (64, 200):
+                for name in MIXED_KERNELS:
+                    s = spec(name)
+                    kernel, stream = s.kernel(), s.workload(records, seed)
+                    for config in (MachineConfig.baseline(),
+                                   *TABLE5_CONFIGS):
+                        if not shared.supports(kernel, config):
+                            continue
+                        fresh = GridProcessor(
+                            params, window_cache=MappedWindowCache()
+                        ).run(kernel, stream, config)
+                        point = (name, config.name, records, seed)
+                        assert shared.run(kernel, stream, config) == fresh, \
+                            point
+        assert shared.window_cache.hits > 0
+
+    def test_hit_runs_no_engine(self, monkeypatch):
+        seeds = engine_runs(monkeypatch)
+        s = spec("convert")
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        first = processor.run(s.kernel(), s.workload(64, 1),
+                              MachineConfig.S_O_D())
+        assert seeds == [1, 2]
+        second = processor.run(s.kernel(), s.workload(64, 2),
+                               MachineConfig.S_O_D())
+        assert seeds == [1, 2]
+        assert second.window == first.window
+        assert second.detail == first.detail
+
+    def test_hits_share_no_mutable_state(self):
+        s = spec("fft")
+        kernel, records = s.kernel(), s.workload(16, 3)
+        config = MachineConfig.S_O()
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        results = [processor.run(kernel, records, config) for _ in range(3)]
+        pristine_window = dict(results[2].window.detail)
+        pristine_detail = dict(results[2].detail)
+        for result in results[:2]:
+            result.window.detail["network_hops"] = -1.0
+            result.window.detail["poison"] = 1.0
+            result.detail["l1.accesses"] = -1.0
+        later = processor.run(kernel, records, config)
+        assert later.window.detail == pristine_window
+        assert later.detail == pristine_detail
+        assert later.window is not results[2].window
+
+    def test_engine_error_stores_nothing(self, monkeypatch):
+        def failing_run(self):
+            raise RuntimeError("engine fault")
+
+        s = spec("convert")
+        kernel, records = s.kernel(), s.workload(8, 1)
+        cache = MappedWindowCache()
+        processor = GridProcessor(window_cache=cache)
+        monkeypatch.setattr(processor_mod.DataflowEngine, "run", failing_run)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="engine fault"):
+                processor.run(kernel, records, MachineConfig.S())
+        window = cache.get_or_map(kernel, MachineConfig.S(),
+                                  MachineParams(), 8)
+        assert window.steady is None
+
+    def test_clear_and_eviction_drop_the_memo(self, monkeypatch):
+        seeds = engine_runs(monkeypatch)
+        s = spec("convert")
+        kernel, records = s.kernel(), s.workload(8, 1)
+        cache = MappedWindowCache(maxsize=1)
+        processor = GridProcessor(window_cache=cache)
+        processor.run(kernel, records, MachineConfig.S())
+        cache.clear()
+        processor.run(kernel, records, MachineConfig.S())
+        assert len(seeds) == 4
+        processor.run(kernel, records, MachineConfig.S_O())  # evicts S
+        processor.run(kernel, records, MachineConfig.S())
+        assert len(seeds) == 8
+
+    def test_memo_hit_records_its_window_map_phase(self):
+        from repro.perf.phases import measuring
+
+        s = spec("convert")
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        processor.run(s.kernel(), s.workload(8, 1), MachineConfig.S())
+        with measuring() as phases:
+            processor.run(s.kernel(), s.workload(8, 1), MachineConfig.S())
+            snapshot = phases.snapshot()
+        assert "window_map" in snapshot
+        assert "block_engine" not in snapshot
+
+
+class TestObserversBypassTheMemo:
+    """With an observer on, a memoized point still runs both passes."""
+
+    def memoized(self):
+        s = spec("convert")
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        point = (s.kernel(), s.workload(64, 1), MachineConfig.S_O_D())
+        reference = processor.run(*point)
+        return processor, point, reference
+
+    def test_trace_records_the_steady_window(self, monkeypatch):
+        processor, point, reference = self.memoized()
+        seeds = engine_runs(monkeypatch)
+        with recording() as rec:
+            result = processor.run(*point)
+        issues = [e for e in rec.events if e["cat"] == "execution"]
+        TRACE.clear()
+        assert seeds == [1, 2]
+        assert len(issues) == result.window.machine_instructions
+        assert result == reference
+
+    def test_metrics_collect_engine_and_memory_counts(self, monkeypatch):
+        processor, point, reference = self.memoized()
+        seeds = engine_runs(monkeypatch)
+        with collecting() as reg:
+            result = processor.run(*point)
+        snap = reg.snapshot()
+        METRICS.reset()
+        assert seeds == [1, 2]
+        assert snap["alu.instances_issued"] > 0
+        assert snap["l1.accesses"] == result.detail["l1.accesses"]
+        assert result == reference
+
+    def test_sanitizer_checks_both_passes(self, monkeypatch):
+        processor, point, reference = self.memoized()
+        checked = []
+        sanitize = processor_mod.DataflowEngine._sanitize_run
+
+        def counting_sanitize(self, *args, **kwargs):
+            checked.append(self)
+            return sanitize(self, *args, **kwargs)
+
+        monkeypatch.setattr(processor_mod.DataflowEngine, "_sanitize_run",
+                            counting_sanitize)
+        with checking() as san:
+            result = processor.run(*point)
+            assert san.total == 0
+        assert len(checked) == 2
+        assert result == reference
+
+
+class TestSharedWindowRace:
+    """Two threads running one block point share its cached window.
+
+    Thread A's warm pass runs on the window rebased to offset ``U``;
+    a hit in thread B rebases the same window to offset 0.  The rebase
+    wrapper below makes the interleaving deterministic: right after A
+    rebases for its warm pass it starts B on the same point and waits
+    until B enters its cold pass (or 0.5 s), and B's own rebase waits
+    until A is done.  Unserialized, A's warm pass times the cold
+    pass's records, which the L1 of a baseline point already holds.
+    """
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    def test_concurrent_hit_cannot_rebase_a_warm_pass(self, core,
+                                                      monkeypatch):
+        s = spec("dct")
+        kernel, records = s.kernel(), s.workload(64, 3)
+        config = MachineConfig.baseline()
+        with using_core(core):
+            serial = GridProcessor(window_cache=MappedWindowCache()).run(
+                kernel, records, config
+            )
+        shared = GridProcessor(window_cache=MappedWindowCache())
+        rebase = processor_mod.rebase_window
+        engine = processor_mod.DataflowEngine
+        main = threading.current_thread()
+        entered, a_done = threading.Event(), threading.Event()
+        results = {}
+
+        def run_b():
+            results["b"] = shared.run(kernel, records, config)
+
+        other = threading.Thread(target=run_b, daemon=True)
+
+        def racing_rebase(window, record_offset):
+            rebase(window, record_offset)
+            if threading.current_thread() is main:
+                other.start()
+                entered.wait(0.5)
+            else:
+                a_done.wait(5.0)
+            return window
+
+        def spying_engine(window, memory, seed):
+            if threading.current_thread() is other:
+                entered.set()
+            return engine(window, memory, seed=seed)
+
+        monkeypatch.setattr(processor_mod, "rebase_window", racing_rebase)
+        monkeypatch.setattr(processor_mod, "DataflowEngine", spying_engine)
+        with using_core(core):
+            try:
+                results["a"] = shared.run(kernel, records, config)
+            finally:
+                a_done.set()
+                if other.is_alive():
+                    other.join(10.0)
+        assert not other.is_alive()
+        assert results["a"] == serial
+        assert results["b"] == serial
+
+    def test_threads_sharing_a_cache_match_serial_runs(self):
+        """Stress: more threads than cores, a 10 µs switch interval, one
+        shared cache; every result must equal its serial run."""
+        points = [("dct", "baseline"), ("highpassfilter", "baseline"),
+                  ("lu", "baseline"), ("fft", "S"), ("convert", "S-O-D")]
+        inputs = {
+            (name, config): (spec(name).kernel(), spec(name).workload(64, 1),
+                             named_config(config))
+            for name, config in points
+        }
+        shared = GridProcessor(window_cache=MappedWindowCache())
+        results = []
+
+        def worker():
+            for point in points:
+                results.append((point, shared.run(*inputs[point])))
+
+        threads = [threading.Thread(target=worker, daemon=True)
+                   for _ in range(4)]
+        with using_core("object"):
+            serial = {
+                point: GridProcessor(window_cache=MappedWindowCache()).run(
+                    *inputs[point])
+                for point in points
+            }
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads) * len(points)
+        for point, result in results:
+            assert result == serial[point], point

@@ -160,3 +160,12 @@ class TestSerializationDeterminism:
         doc = json.loads(cache._path(key).read_text(encoding="utf-8"))
         assert list(doc) == sorted(doc)
         assert list(doc["detail"]) == sorted(doc["detail"])
+
+    def test_disk_doc_bytes_are_sorted_compact_json(self, tmp_path):
+        """The stored file is exactly the sorted-key compact encoding."""
+        key, result = simulate()
+        cache = RunCache(tmp_path)
+        cache.put(key, result)
+        stored = cache._path(key).read_text(encoding="utf-8")
+        assert stored == json.dumps(run_result_to_dict(result),
+                                    sort_keys=True)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.kernels import spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams
+from repro.machine.window_cache import SHARED_WINDOW_CACHE
 from repro.perf import (
     RunCache,
     SweepPoint,
@@ -387,6 +388,10 @@ class TestWorkerPhaseAggregation:
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", FakePool)
+        # Earlier tests simulated these points in this process; a cold
+        # window cache makes them simulate (a memoized steady window
+        # runs no block engine).
+        SHARED_WINDOW_CACHE.clear()
         points = sample_points()
         with measuring() as acc:
             results = run_points(points, jobs=3)
@@ -397,6 +402,7 @@ class TestWorkerPhaseAggregation:
         assert "block_engine" in snap
 
     def test_phased_worker_returns_result_and_snapshot(self):
+        SHARED_WINDOW_CACHE.clear()  # simulate, not replay a memo
         point = sample_points()[0]
         payload, snapshot = parallel_mod._pool_worker_phased(point)
         result, seconds, verdict = payload
