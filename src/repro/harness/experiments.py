@@ -148,6 +148,8 @@ class ExperimentContext:
         self._backend_fps: Dict[str, str] = {}
         self._params_fp: Optional[str] = None
         self._kernels: Dict[str, object] = {}
+        #: :meth:`supports` answers by (backend, kernel, configuration)
+        self._supports: Dict[Tuple[str, str, MachineConfig], bool] = {}
         #: wall seconds spent simulating each point (bench reporting);
         #: non-grid points are keyed ``backend:kernel``
         self.point_seconds: Dict[Tuple[str, str], float] = {}
@@ -424,9 +426,19 @@ class ExperimentContext:
         config: MachineConfig,
         backend: Union[str, Backend, None] = None,
     ) -> bool:
-        """Whether the kernel can run under ``config`` on the backend."""
+        """Whether the kernel can run under ``config`` on the backend.
+
+        Answered once per context: the check builds a processor for the
+        configuration (for M and M-D it recounts the rolled footprint).
+        """
         b = self._backend(backend)
-        return b.supports(self.kernel(name), config, self.params)
+        key = (b.name, name, config)
+        answer = self._supports.get(key)
+        if answer is None:
+            answer = self._supports[key] = b.supports(
+                self.kernel(name), config, self.params
+            )
+        return answer
 
 
 # ---- Table 1: benchmark suite -------------------------------------------------

@@ -288,38 +288,57 @@ class JobQueue:
         While the job runs, ``progress`` is composed from its claim
         session's store — per-point rows with durable claim state — so
         the snapshot is correct even with several jobs running and
-        external workers sharding the sweep.
+        external workers sharding the sweep.  The store is read outside
+        the queue lock, so a slow read never holds up submits, cancels
+        or the workers.  A job that ends during the read has closed its
+        store: the job is read again, as a later call would see it.
         """
         job = self.get(job_id)
-        with self._lock:
-            state = job.state
-            progress = job.progress
-            if state == JobState.RUNNING:
-                session = job.session
-                if session is not None:
-                    progress = session.progress_snapshot(job.started_at)
-                else:
-                    progress = self._live_progress(job)
-            doc = {
-                "job_id": job.job_id,
-                "state": state,
-                "spec": job.spec.to_dict(),
-                "spec_fingerprint": job.spec_fingerprint,
-                "submitted_at": job.submitted_at,
-                "started_at": job.started_at,
-                "finished_at": job.finished_at,
-                "duration_seconds": (
-                    job.finished_at - job.started_at
-                    if job.finished_at is not None
-                    and job.started_at is not None else None
-                ),
-                "points_total": job.points_total,
-                "skipped": [list(pair) for pair in job.skipped],
-                "error": job.error,
-                "progress": progress,
-                "cache": dict(job.cache_counts),
-            }
-        return doc
+        while True:
+            with self._lock:
+                doc = self._status_doc(job)
+                session = (
+                    job.session if job.state == JobState.RUNNING else None
+                )
+            if session is None:
+                return doc
+            try:
+                progress = session.progress_snapshot(doc["started_at"])
+            except Exception:
+                with self._lock:
+                    if job.session is session:
+                        raise
+                continue
+            with self._lock:
+                if job.session is session:
+                    doc["progress"] = progress
+                    return doc
+
+    def _status_doc(self, job: Job) -> dict:
+        """The job's fields (caller holds the lock); ``progress`` is the
+        final snapshot, or the tracker's view of a session-less run."""
+        progress = job.progress
+        if progress is None and job.state == JobState.RUNNING:
+            progress = self._live_progress(job)
+        return {
+            "job_id": job.job_id,
+            "state": job.state,
+            "spec": job.spec.to_dict(),
+            "spec_fingerprint": job.spec_fingerprint,
+            "submitted_at": job.submitted_at,
+            "started_at": job.started_at,
+            "finished_at": job.finished_at,
+            "duration_seconds": (
+                job.finished_at - job.started_at
+                if job.finished_at is not None
+                and job.started_at is not None else None
+            ),
+            "points_total": job.points_total,
+            "skipped": [list(pair) for pair in job.skipped],
+            "error": job.error,
+            "progress": progress,
+            "cache": dict(job.cache_counts),
+        }
 
     def _live_progress(self, job: Job) -> dict:
         state = PROGRESS.get_current_state()
@@ -494,6 +513,7 @@ class JobQueue:
             job.session = session
         cancelled: Optional[SweepCancelled] = None
         results: list = []
+        snapshot: Optional[dict] = None
         try:
             with self._global_scopes():
                 try:
@@ -508,11 +528,13 @@ class JobQueue:
             except Exception:
                 cache_counts = {}  # accounting must never fail a job
         finally:
+            # The final snapshot lands before the session goes, so a
+            # status() read that races the close finds it on the job.
             with self._lock:
+                job.progress = snapshot
                 job.session = None
             session.close()
         with self._lock:
-            job.progress = snapshot
             job.cache_counts = cache_counts
             if cancelled is not None:
                 job.error = str(cancelled)

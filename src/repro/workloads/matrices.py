@@ -13,16 +13,21 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from . import _draw
+
 
 def fft_input(n: int = 1024, seed: int = 17) -> List[complex]:
-    """A deterministic complex input signal of length ``n`` (power of 2)."""
+    """A deterministic complex input signal of length ``n`` (power of 2).
+
+    Element i is ``complex(uniform(-1, 1), uniform(-1, 1))``, real part
+    drawn first.
+    """
     if n & (n - 1):
         raise ValueError(f"FFT size must be a power of two, got {n}")
-    rng = random.Random(seed)
-    return [
-        complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for _ in range(n)
-    ]
+    parts = _draw.uniforms(random.Random(seed), -1.0, 1.0, 2 * n)
+    return parts.view(np.complex128).tolist()
 
 
 def butterfly_records(
@@ -38,17 +43,20 @@ def butterfly_records(
     """
     n = len(data)
     span = 1 << stage
-    records: List[List[float]] = []
-    pairs: List[Tuple[int, int]] = []
-    for block in range(0, n, span * 2):
-        for k in range(span):
-            top = block + k
-            bottom = top + span
-            w = cmath.exp(-2j * math.pi * k / (span * 2))
-            a, b = data[top], data[bottom]
-            records.append([a.real, a.imag, b.real, b.imag, w.real, w.imag])
-            pairs.append((top, bottom))
-    return records, pairs
+    # One twiddle per k, repeated in every block.
+    twiddles = np.array(
+        [cmath.exp(-2j * math.pi * k / (span * 2)) for k in range(span)],
+        dtype=np.complex128,
+    )
+    blocks = len(range(0, n, span * 2))
+    top = (np.arange(blocks)[:, None] * (span * 2) + np.arange(span)).ravel()
+    bottom = top + span
+    values = np.asarray(data, dtype=np.complex128)
+    a, b, w = values[top], values[bottom], np.tile(twiddles, blocks)
+    records = np.stack(
+        (a.real, a.imag, b.real, b.imag, w.real, w.imag), axis=1
+    ).tolist()
+    return records, list(zip(top.tolist(), bottom.tolist()))
 
 
 def bit_reverse_permute(data: Sequence[complex]) -> List[complex]:
@@ -68,13 +76,10 @@ def lu_matrix(n: int = 64, seed: int = 19) -> List[List[float]]:
     The paper uses n=1024; tests default to smaller sizes for speed while
     the benchmark harness can request the full problem.
     """
-    rng = random.Random(seed)
-    matrix = [
-        [rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)
-    ]
-    for i in range(n):
-        matrix[i][i] += n  # diagonal dominance: no pivoting needed
-    return matrix
+    matrix = _draw.uniforms(random.Random(seed), -1.0, 1.0, n * n)
+    matrix = matrix.reshape(n, n)
+    matrix[np.diag_indices(n)] += n  # diagonal dominance: no pivoting needed
+    return matrix.tolist()
 
 
 def lu_update_records(

@@ -13,26 +13,27 @@ from __future__ import annotations
 import random
 from typing import List
 
+import numpy as np
+
+from . import _draw
+
 PACKET_BYTES = 1500
 
 
 def packet_stream(count: int, seed: int = 23) -> List[bytes]:
-    """``count`` random 1500-byte packets."""
-    rng = random.Random(seed)
-    return [bytes(rng.randrange(256) for _ in range(PACKET_BYTES)) for _ in range(count)]
+    """``count`` random 1500-byte packets, one ``randrange(256)`` a byte."""
+    data = _draw.randbelow(
+        random.Random(seed), 256, count * PACKET_BYTES
+    ).tobytes()  # uint8
+    return [
+        data[i:i + PACKET_BYTES] for i in range(0, len(data), PACKET_BYTES)
+    ]
 
 
 def _pad_to(data: bytes, multiple: int) -> bytes:
     if len(data) % multiple:
         data += b"\x00" * (multiple - len(data) % multiple)
     return data
-
-
-def _words_be(data: bytes) -> List[int]:
-    """Pack bytes into big-endian 64-bit words."""
-    return [
-        int.from_bytes(data[i : i + 8], "big") for i in range(0, len(data), 8)
-    ]
 
 
 def packet_block_records(
@@ -45,14 +46,9 @@ def packet_block_records(
     """
     if block_bytes % 8:
         raise ValueError("block size must be a whole number of 64-bit words")
-    records: List[List[int]] = []
-    for packet in packets:
-        data = _pad_to(packet, block_bytes)
-        for i in range(0, len(data), block_bytes):
-            records.append(_words_be(data[i : i + block_bytes]))
-            if limit and len(records) >= limit:
-                return records
-    return records
+    data = b"".join(_pad_to(packet, block_bytes) for packet in packets)
+    blocks = np.frombuffer(data, dtype=">u8").reshape(-1, block_bytes // 8)
+    return (blocks[:limit] if limit else blocks).tolist()
 
 
 #: MD5's standard initial chaining state (A, B, C, D), packed two 32-bit
@@ -74,18 +70,12 @@ def md5_block_records(
     formulation digests blocks from many packets concurrently, as in
     per-packet checksums).
     """
-    state = iv or MD5_IV_WORDS
-    records: List[List[int]] = []
-    for packet in packets:
-        data = _pad_to(packet, 64)
-        for i in range(0, len(data), 64):
-            chunk = data[i : i + 64]
-            message_words = []
-            for j in range(0, 64, 8):
-                lo = int.from_bytes(chunk[j : j + 4], "little")
-                hi = int.from_bytes(chunk[j + 4 : j + 8], "little")
-                message_words.append((lo << 32) | hi)
-            records.append(message_words + list(state))
-            if limit and len(records) >= limit:
-                return records
-    return records
+    state = list(iv or MD5_IV_WORDS)
+    data = b"".join(_pad_to(packet, 64) for packet in packets)
+    # (lo << 32) | hi of each little-endian 32-bit pair: swap the pair's
+    # halves and read the 8 bytes as one little-endian word
+    pairs = np.frombuffer(data, dtype="<u4").reshape(-1, 2)[:, ::-1]
+    message = pairs.copy().view("<u8").reshape(-1, 8)
+    if limit:
+        message = message[:limit]
+    return [words + state for words in message.tolist()]

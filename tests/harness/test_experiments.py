@@ -133,6 +133,39 @@ class TestOneSimulationPerMachine:
         assert ctx.run("convert", MachineConfig.S()) is first
 
 
+class TestSupports:
+    def test_answered_once_per_backend_kernel_and_config(
+            self, monkeypatch):
+        """figure5 and table6 ask twice per pair, and each question
+        builds a processor; the context answers repeats from a memo."""
+        from repro.backends import GridBackend
+        from repro.machine import MachineConfig
+        from repro.machine.config import named_config
+
+        ctx = experiments.ExperimentContext(records=8,
+                                            large_kernel_records=8)
+        asked = []
+        original = GridBackend.supports
+
+        def counting(self, kernel, config, params=None):
+            asked.append(config)
+            return original(self, kernel, config, params)
+
+        monkeypatch.setattr(GridBackend, "supports", counting)
+        configs = [named_config(n) for n in ("S-O-D", "M", "M-D")]
+        pairs = [(k, c) for k in ("blowfish", "lu") for c in configs]
+        first = [ctx.supports(k, c) for k, c in pairs]
+        assert [ctx.supports(k, c) for k, c in pairs] == first
+        assert len(asked) == len(pairs)
+        assert first == [
+            original(GridBackend(), ctx.kernel(k), c, ctx.params)
+            for k, c in pairs
+        ]
+        # another machine under a used name is asked about afresh
+        ctx.supports("lu", MachineConfig(name="M", smc_stream=True))
+        assert len(asked) == len(pairs) + 1
+
+
 class TestRunnerCli:
     def test_main_with_specific_experiments(self, capsys):
         from repro.harness.runner import main

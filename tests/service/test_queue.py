@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.obs.ledger import RunLedger
+from repro.sched.scheduler import ClaimSession
 from repro.service.jobs import JobQueue, JobState
 from repro.service.spec import SweepSpec
 
@@ -254,3 +255,88 @@ class TestCacheAccounting:
         finally:
             q.shutdown(wait=True, timeout=10.0)
         assert len(mapped) == 4  # every job ran through the pool path
+
+
+class BlockingStore(RunLedger):
+    """An in-memory claim store whose ``point_rows`` waits on an event."""
+
+    def __init__(self):
+        super().__init__(":memory:")
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def point_rows(self, *args, **kwargs):
+        self.entered.set()
+        self.release.wait(10.0)
+        return super().point_rows(*args, **kwargs)
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # surfaced by the asserting test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestStatusReadsOutsideTheLock:
+    """``status()`` reads the claim store without holding the queue lock."""
+
+    @pytest.fixture()
+    def blocked(self, parked_queue):
+        """A RUNNING job whose status() read is parked inside the store."""
+        job = parked_queue.submit(small_spec())
+        store = BlockingStore()
+        session = ClaimSession(store, job_id=job.job_id, owns_store=True)
+        with parked_queue._lock:
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
+            job.session = session
+        reader, outcome = _in_thread(lambda: parked_queue.status(job.job_id))
+        assert store.entered.wait(5.0)
+        yield parked_queue, job, session, store, reader, outcome
+        store.release.set()
+        reader.join(5.0)
+
+    def test_submit_and_cancel_proceed_during_a_store_read(self, blocked):
+        q, job, _, store, reader, outcome = blocked
+        other = q.submit(small_spec())
+        start = time.monotonic()
+        writer, done = _in_thread(
+            lambda: (q.submit(small_spec()), q.cancel(other.job_id))
+        )
+        writer.join(1.0)
+        assert not writer.is_alive(), "submit/cancel waited on a store read"
+        assert time.monotonic() - start < 1.0
+        assert done["value"][1] is True
+        assert reader.is_alive()  # the status() read is still parked
+        store.release.set()
+        reader.join(5.0)
+        assert outcome["value"]["state"] == JobState.RUNNING
+        assert outcome["value"]["progress"]["completed"] == 0
+
+    def test_read_racing_the_close_serves_the_final_snapshot(self, blocked):
+        q, job, session, store, reader, outcome = blocked
+        final = {"completed": 1, "total": 1, "in_flight": []}
+
+        def finish():  # what _run_job does as the job ends
+            with q._lock:
+                job.progress = final
+                job.session = None
+            session.close()
+
+        closer, _ = _in_thread(finish)
+        closer.join(1.0)
+        assert not closer.is_alive()
+        store.release.set()
+        reader.join(5.0)
+        assert "error" not in outcome
+        assert outcome["value"]["progress"] == final
+        assert outcome["value"] == q.status(job.job_id)
