@@ -87,10 +87,10 @@ class GridBackend(Backend):
     ) -> RunResult:
         """Simulate a steady-state run on the grid (see GridProcessor.run).
 
-        Constructing the processor per run is cheap: mapped windows are
+        Constructing the processor per run is cheap: steady windows are
         memoized in the process-wide
         :data:`~repro.machine.window_cache.SHARED_WINDOW_CACHE`, so
-        repeated runs reuse placement work exactly as a long-lived
-        processor instance would.
+        repeated runs skip mapping and both block passes exactly as a
+        long-lived processor instance would.
         """
         return GridProcessor(params).run(kernel, records, config, functional)

@@ -3,9 +3,8 @@
 The object loop of :meth:`DataflowEngine.run` walks the mapped window's
 instance records and routes every operand delivery through the machine
 parameters.  This core hoists all of that into a one-time
-structure-of-arrays precompute cached on the window itself (windows are
-shared across engine runs and sweep points via
-:class:`~repro.machine.window_cache.MappedWindowCache`):
+structure-of-arrays precompute cached on the window itself, so a
+point's cold and warm passes flatten it once:
 
 * a dispatch code per instance (compute-like / store / LMW / static-
   address L1 / load), replacing per-issue kind + config tests;
@@ -15,11 +14,12 @@ shared across engine runs and sweep points via
   network as array arithmetic rather than per-delivery dict lookups),
   plus the per-instance network-hop totals the stats need;
 * the LUT/LDI address streams evaluated as one vectorized hash per
-  engine seed (cached per seed — the cold and warm passes use seeds 1
-  and 2 on the same window).
+  engine run (the cold and warm passes use seeds 1 and 2);
+* LOAD/STORE addresses as offset-0 columns plus a per-record stride,
+  evaluated once per run at the window's current offset, because
+  :func:`~repro.machine.mapping.rebase_window` moves it between the
+  passes.
 
-LOAD/STORE addresses are read from the instances at issue time because
-:func:`~repro.machine.mapping.rebase_window` mutates them between runs.
 The cycle loop itself keeps the exact control flow of the object loop —
 same heaps, same ``active_nodes`` set add/discard sequence — because
 the issue order inside one cycle is observable in the timings: this is
@@ -48,8 +48,7 @@ class WindowSoA:
     The LOAD/STORE address columns are *affine in the record offset*:
     ``addr_at0 + record_offset * addr_stride`` is every instance's
     current address, so :func:`~repro.machine.mapping.rebase_window`
-    never touches the SoA — the per-offset materialized address lists
-    are cached in ``mem_addr_by_offset``.  ``const_deliveries`` holds
+    never touches the SoA.  ``const_deliveries`` holds
     the register-file constant arrivals as precomputed ``(consumer uid,
     cycle)`` pairs (FIFO port grants over a fixed read sequence are a
     pure function of the window), and ``has_l1`` marks windows whose
@@ -60,8 +59,8 @@ class WindowSoA:
         "n", "codes", "nodes_of", "latencies", "rows", "edges", "kinds",
         "iters", "kiids", "operands", "useful", "depths", "zero_uids",
         "cons", "hops_of", "lmw_words", "lmw_cons", "lmw_hops",
-        "lut_info", "ldi_info", "addresses_by_seed", "addr_at0",
-        "addr_stride", "mem_addr_by_offset", "const_deliveries",
+        "lut_info", "ldi_info", "addr_at0", "addr_stride",
+        "const_deliveries",
         "n_const_reads", "has_l1", "order", "rank_of",
     )
 
@@ -151,7 +150,6 @@ def build_soa(window) -> WindowSoA:
     soa.useful = [inst.useful for inst in instances]
     soa.depths = [inst.depth for inst in instances]
     soa.lmw_words = [inst.words for inst in instances]
-    soa.addresses_by_seed = {}
 
     code_of = {COMPUTE: 0, STORE: 1, LMW: 2, LOAD: 4,
                LUT: 0 if window.config.l0_data else 3, LDI: 3}
@@ -173,7 +171,6 @@ def build_soa(window) -> WindowSoA:
         )
         - window.record_offset * stride
     )
-    soa.mem_addr_by_offset = {}
 
     # Dataflow edges, wired in one flat vectorized pass: flatten every
     # instance's consumer list, look the per-edge (hops, delay) up with
@@ -299,10 +296,7 @@ def _hash_stream(iters, kiids, seed):
 
 
 def _addresses(soa: WindowSoA, seed: int) -> List[int]:
-    """Per-uid L1 addresses for one engine seed (cached on the SoA)."""
-    cached = soa.addresses_by_seed.get(seed)
-    if cached is not None:
-        return cached
+    """Per-uid L1 addresses for one engine seed."""
     addresses = [0] * soa.n
     if soa.lut_info is not None:
         uids, bases, sizes, iters, kiids = soa.lut_info
@@ -316,7 +310,6 @@ def _addresses(soa: WindowSoA, seed: int) -> List[int]:
         values = bases + (focus + delta) % sizes
         for uid, address in zip(uids, values.tolist()):
             addresses[uid] = address
-    soa.addresses_by_seed[seed] = addresses
     return addresses
 
 
@@ -352,14 +345,11 @@ def run_array(engine) -> WindowTiming:
         _addresses(soa, engine._seed)
         if soa.lut_info is not None or soa.ldi_info is not None else None
     )
-    # LOAD/STORE addresses at the window's current record offset — one
-    # affine evaluation of the SoA columns per offset, cached (the cold
-    # and warm passes revisit the same offsets across engine runs).
-    offset = window.record_offset
-    mem_addrs = soa.mem_addr_by_offset.get(offset)
-    if mem_addrs is None:
-        mem_addrs = (soa.addr_at0 + offset * soa.addr_stride).tolist()
-        soa.mem_addr_by_offset[offset] = mem_addrs
+    # LOAD/STORE addresses at the window's current record offset: one
+    # affine evaluation of the SoA columns.
+    mem_addrs = (
+        soa.addr_at0 + window.record_offset * soa.addr_stride
+    ).tolist()
     remaining = list(soa.operands)
 
     sanitize = SANITIZER.enabled

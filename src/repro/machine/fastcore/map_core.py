@@ -391,7 +391,6 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     soa.has_l1 = any(code >= 3 for code in tpl_code)
     u_idx = np.repeat(np.arange(U, dtype=np.int64), block)
     soa.iters = u_idx.tolist()
-    soa.addresses_by_seed = {}
 
     # ---- LOAD/STORE address columns: offset-0 base + affine stride ------
     # Static addresses (LUT table / LDI space bases) ride along with
@@ -410,7 +409,6 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     soa.addr_at0 = (
         np.tile(np.asarray(tpl_addr0, dtype=np.int64), U) + u_idx * stride
     )
-    soa.mem_addr_by_offset = {}
 
     # ---- nodes / rows / edges: gathers over the placement matrix --------
     A = np.asarray(node_rows, dtype=np.int64)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..isa.instruction import Const, Immediate, InstResult, RecordInput
 from ..isa.kernel import Kernel
@@ -164,10 +164,6 @@ class MappedWindow:
         self.issue_order: Optional[List[int]] = None
         #: deferred-expansion template (array core only)
         self._lazy: Optional[_LazyExpansion] = None
-        #: memoized steady window of a cached window: the warm
-        #: ``WindowTiming`` and the memory snapshot it leaves, filled by
-        #: the first block-style run (see ``GridProcessor._steady_window``)
-        self.steady: Optional[Tuple] = None
 
     @property
     def useful_per_iteration(self) -> int:

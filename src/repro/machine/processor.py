@@ -11,7 +11,8 @@ Measurement strategy (documented in DESIGN.md):
   the first pass warms the caches/tables, the second (with advanced
   record addresses, so streams stay cold but tables stay warm) is the
   steady-state window.  The mapping fixes that schedule, not the data,
-  so the steady window is simulated once per cached window and reused.
+  so each distinct window is simulated once per process and its steady
+  state reused; the mapped structure is freed after the warm pass.
   The run is then windows composed in sequence:
 
   - baseline: consecutive hyperblock windows pipeline behind block fetch,
@@ -48,12 +49,12 @@ from ..perf.phases import PHASES, perf_counter
 from .config import MachineConfig
 from .dataflow_engine import DataflowEngine
 from .l0store import L0DataStore
-from .mapping import rebase_window, window_iterations
+from .mapping import map_window, rebase_window, window_iterations
 from .mimd_engine import MimdEngine, check_capacity
 from .params import MachineParams
 from .revitalize import RevitalizationController
 from .stats import RunResult, WindowTiming
-from .window_cache import SHARED_WINDOW_CACHE, WINDOW_LOCK, MappedWindowCache
+from .window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
 
 Number = Union[int, float]
 Record = Sequence[Number]
@@ -67,7 +68,7 @@ class GridProcessor:
         params: Optional[MachineParams] = None,
         window_cache: Optional[MappedWindowCache] = None,
     ):
-        """``window_cache`` overrides the process-wide mapped-window
+        """``window_cache`` overrides the process-wide steady-window
         cache (mainly for tests that want isolation)."""
         self.params = params or MachineParams()
         # Explicit None test: an empty cache has len() == 0 and would
@@ -261,67 +262,58 @@ class GridProcessor:
         """The warm second of two consecutive windows, and the memory
         snapshot it leaves.
 
-        The structure is mapped once (via the in-process
-        :class:`~repro.machine.window_cache.MappedWindowCache`) and
-        *rebased* between the cold and warm passes instead of being
-        re-mapped — bit-identical to two independent ``map_window``
-        calls, per the equivalence suite.  Under the array core the
-        window is still lazy at this point, so the rebase is O(1)
-        (template bookkeeping only, no per-instance writes).
-
-        Neither pass reads record values: the stream sets only ``U``,
-        which keys the cache.  So the first run of a cached window
-        memoizes both results on it (``MappedWindow.steady``) and later
-        runs return copies, building no memory system and running no
-        engine.  While TRACE, METRICS or SANITIZER observes, both passes
-        run anyway, so observers see every event and check.
-        ``WINDOW_LOCK`` spans the lookup, the passes and the memo store:
-        another thread's hit would rebase the shared window under a
-        warm pass.
+        Neither pass reads record values: the stream sets only ``U``, so
+        both results are a pure function of the window-cache key
+        (:class:`~repro.machine.window_cache.MappedWindowCache`).  A hit
+        returns copies of the stored memo, building no window, memory
+        system or engine.  A miss hands back a private mapped window,
+        timed here: a cold pass, then a *rebase* to offset ``U`` —
+        bit-identical to a second ``map_window``, per the equivalence
+        suite, and O(1) on the array core's lazy windows — and the warm
+        pass.  The memo is stored after the warm pass and the window
+        dies with this call.  While TRACE, METRICS or SANITIZER
+        observes, a hit maps its own window and runs both passes anyway,
+        so observers see every event and check.
         """
         U = min(window_iterations(kernel, config, self.params),
                 max(1, n_records))
         phases = PHASES.enabled
-        with WINDOW_LOCK:
-            place_before = (
-                PHASES.seconds.get("placement", 0.0) if phases else 0.0
-            )
+        place_before = PHASES.seconds.get("placement", 0.0) if phases else 0.0
+        started = perf_counter() if phases else 0.0
+        key, steady, window = self.window_cache.get_or_map(
+            kernel, config, self.params, U
+        )
+        if window is None and (TRACE.enabled or METRICS.enabled
+                               or SANITIZER.enabled):
+            window = map_window(kernel, config, self.params, iterations=U)
+        if phases:
+            # ``place_iterations`` credits its own time to "placement";
+            # subtract it so "window_map" (expansion, cache handling and
+            # rebasing) stays disjoint and the phases sum cleanly.
+            elapsed = perf_counter() - started
+            place_delta = PHASES.seconds.get("placement", 0.0) - place_before
+            PHASES.add("window_map", elapsed - place_delta)
+        if window is not None:
+            memory = self._fresh_memory(config)
             started = perf_counter() if phases else 0.0
-            window = self.window_cache.get_or_map(
-                kernel, config, self.params, U, record_offset=0
-            )
+            # The cold pass only warms caches/tables; suppress metrics
+            # and trace events so observers see the steady-state window
+            # once.
+            with observability_paused():
+                DataflowEngine(window, memory, seed=1).run()
             if phases:
-                # ``place_iterations`` credits its own time to
-                # "placement"; subtract it so "window_map" (expansion,
-                # cache handling and rebasing) stays disjoint and the
-                # phases sum cleanly.
-                elapsed = perf_counter() - started
-                place_delta = (
-                    PHASES.seconds.get("placement", 0.0) - place_before
-                )
-                PHASES.add("window_map", elapsed - place_delta)
-            steady = window.steady
-            if (steady is None or TRACE.enabled or METRICS.enabled
-                    or SANITIZER.enabled):
-                memory = self._fresh_memory(config)
-                started = perf_counter() if phases else 0.0
-                # The cold pass only warms caches/tables; suppress
-                # metrics and trace events so observers see the
-                # steady-state window once.
-                with observability_paused():
-                    DataflowEngine(window, memory, seed=1).run()
-                if phases:
-                    PHASES.add("block_engine", perf_counter() - started)
-                    started = perf_counter()
-                memory.reset_timing()
-                rebase_window(window, U)
-                if phases:
-                    PHASES.add("window_map", perf_counter() - started)
-                    started = perf_counter()
-                timing = DataflowEngine(window, memory, seed=2).run()
-                if phases:
-                    PHASES.add("block_engine", perf_counter() - started)
-                steady = window.steady = (timing, memory.metrics_snapshot())
+                PHASES.add("block_engine", perf_counter() - started)
+                started = perf_counter()
+            memory.reset_timing()
+            rebase_window(window, U)
+            if phases:
+                PHASES.add("window_map", perf_counter() - started)
+                started = perf_counter()
+            timing = DataflowEngine(window, memory, seed=2).run()
+            if phases:
+                PHASES.add("block_engine", perf_counter() - started)
+            steady = (timing, memory.metrics_snapshot())
+            self.window_cache.store(key, steady)
         # Copies: no two results share a mutable detail dict.
         timing, snapshot = steady
         return replace(timing, detail=dict(timing.detail)), dict(snapshot)

@@ -776,11 +776,17 @@ class RunLedger:
         return row
 
     def close(self) -> None:
-        """Close this process's connection (reopens on next use)."""
+        """Close this process's connection.
+
+        A file ledger reopens on next use.  A ``":memory:"`` database
+        dies with its connection, so a closed one raises
+        ``sqlite3.ProgrammingError`` on use rather than reopening empty.
+        """
         with self._lock:
             if self._conn is not None and self._pid == os.getpid():
                 self._conn.close()
-            self._conn = None
+            if self.path != ":memory:":
+                self._conn = None
 
 
 def _quoted(column: str) -> str:

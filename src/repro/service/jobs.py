@@ -410,6 +410,12 @@ class JobQueue:
                 )
             except Exception:
                 point_rows_ = []
+            # A job that ends during this read (outside the lock, as in
+            # status()) has closed its store: read the job again.
+            with self._lock:
+                ended = job.session is not session
+            if ended:
+                return self.results_page(job_id, offset)
             by_seq = {row["seq"]: row for row in point_rows_}
             while True:
                 row = by_seq.get(done_prefix)
@@ -512,8 +518,9 @@ class JobQueue:
         with self._lock:
             job.session = session
         cancelled: Optional[SweepCancelled] = None
-        results: list = []
+        cache_counts: Dict[str, int] = {}
         snapshot: Optional[dict] = None
+        final: Optional[dict] = None
         try:
             with self._global_scopes():
                 try:
@@ -527,27 +534,31 @@ class JobQueue:
                 cache_counts = session.cache_verdicts()
             except Exception:
                 cache_counts = {}  # accounting must never fail a job
-        finally:
-            # The final snapshot lands before the session goes, so a
-            # status() read that races the close finds it on the job.
-            with self._lock:
-                job.progress = snapshot
-                job.session = None
-            session.close()
-        with self._lock:
-            job.cache_counts = cache_counts
-            if cancelled is not None:
-                job.error = str(cancelled)
-                self._finish(job, JobState.CANCELLED)
-            else:
-                job.results = {
+            if cancelled is None:
+                final = {
                     "spec_fingerprint": job.spec_fingerprint,
                     "backend": job.spec.backend,
                     "num_points": len(points),
                     "skipped": [list(pair) for pair in skipped],
                     "rows": point_rows(points, results),
                 }
-                self._finish(job, JobState.DONE)
+        finally:
+            # A finished job's end lands before its store closes, so a
+            # status() or results_page() read that races the close finds
+            # it on the job.  A cancelled one ends after the close has
+            # released its claims.
+            with self._lock:
+                job.progress = snapshot
+                job.session = None
+                job.cache_counts = cache_counts
+                if final is not None:
+                    job.results = final
+                    self._finish(job, JobState.DONE)
+            session.close()
+        if cancelled is not None:
+            with self._lock:
+                job.error = str(cancelled)
+                self._finish(job, JobState.CANCELLED)
         self._persist(job)
         if cancelled is None and METRICS.enabled:
             METRICS.inc("service.points.simulated", len(points))

@@ -18,14 +18,18 @@ import numpy as np
 from . import _draw
 
 
+def _check_fft_size(n: int) -> None:
+    if n & (n - 1):
+        raise ValueError(f"FFT size must be a power of two, got {n}")
+
+
 def fft_input(n: int = 1024, seed: int = 17) -> List[complex]:
     """A deterministic complex input signal of length ``n`` (power of 2).
 
     Element i is ``complex(uniform(-1, 1), uniform(-1, 1))``, real part
     drawn first.
     """
-    if n & (n - 1):
-        raise ValueError(f"FFT size must be a power of two, got {n}")
+    _check_fft_size(n)
     parts = _draw.uniforms(random.Random(seed), -1.0, 1.0, 2 * n)
     return parts.view(np.complex128).tolist()
 
@@ -62,6 +66,7 @@ def butterfly_records(
 def bit_reverse_permute(data: Sequence[complex]) -> List[complex]:
     """Bit-reversal reorder (the FFT driver's input permutation)."""
     n = len(data)
+    _check_fft_size(n)
     bits = n.bit_length() - 1
     out = [0j] * n
     for i, value in enumerate(data):

@@ -42,6 +42,20 @@ class TestFullFft:
         with pytest.raises(ValueError):
             fft_input(100)
 
+    @pytest.mark.parametrize("n", [3, 6, 100])
+    def test_permute_and_full_fft_reject_non_powers_of_two(self, n):
+        signal = [complex(i, -i) for i in range(n)]
+        message = f"FFT size must be a power of two, got {n}"
+        with pytest.raises(ValueError, match=message):
+            bit_reverse_permute(signal)
+        with pytest.raises(ValueError, match=message):
+            fft_full(signal)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_sizes_still_permute(self, n):
+        data = [complex(i, 0) for i in range(n)]
+        assert bit_reverse_permute(data) == data
+
 
 class TestFullLu:
     @pytest.mark.parametrize("n", [4, 16, 48])

@@ -210,9 +210,9 @@ class TestRebasedWindowEquivalence:
         assert fast.trace == reference.trace
 
     def test_processor_cache_hit_is_bit_identical(self):
-        """A GridProcessor replaying a mapped window from the in-process
-        cache (hit + rebase) must match a cold object-loop run, under
-        either core."""
+        """A GridProcessor replaying a steady window from the in-process
+        cache (a hit) must match a cold object-loop run, under either
+        core."""
         s = spec("fft")
         kernel, records = s.kernel(), s.workload(16, 3)
         config = MachineConfig.S_O()

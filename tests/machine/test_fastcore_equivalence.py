@@ -280,25 +280,26 @@ class TestLazyWindowExpansion:
         a ``build_soa`` there would never reach METRICS.
         """
         from repro.harness import experiments
+        from repro.machine.dataflow_engine import DataflowEngine
         from repro.machine.fastcore import dataflow_core
         from repro.machine.window_cache import SHARED_WINDOW_CACHE
 
-        builds, windows = [], []
+        builds, fused = [], []
         build_soa = dataflow_core.build_soa
-        get_or_map = SHARED_WINDOW_CACHE.get_or_map
+        run = DataflowEngine.run
 
         def counting_build_soa(window):
             builds.append(window)
             return build_soa(window)
 
-        def recording_get_or_map(*args, **kwargs):
-            window = get_or_map(*args, **kwargs)
-            windows.append(window)
-            return window
+        def spying_run(engine):
+            fused.append(
+                getattr(engine.window, "_fastcore_soa", None) is not None
+            )
+            return run(engine)
 
         monkeypatch.setattr(dataflow_core, "build_soa", counting_build_soa)
-        monkeypatch.setattr(SHARED_WINDOW_CACHE, "get_or_map",
-                            recording_get_or_map)
+        monkeypatch.setattr(DataflowEngine, "run", spying_run)
         SHARED_WINDOW_CACHE.clear()
         ctx = experiments.ExperimentContext(records=32,
                                             large_kernel_records=16)
@@ -306,9 +307,7 @@ class TestLazyWindowExpansion:
             experiments.figure5(ctx)
             experiments.table4(ctx)
             experiments.table6(ctx)
-        assert windows
-        assert all(getattr(w, "_fastcore_soa", None) is not None
-                   for w in windows)
+        assert fused and all(fused)
         assert builds == []
 
 

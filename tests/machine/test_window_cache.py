@@ -1,14 +1,18 @@
-"""MappedWindowCache: content keys, rebase-on-hit, LRU bounds, sharing.
+"""MappedWindowCache: content keys, steady-window memos, LRU bounds.
 
-The cache is correctness-critical — a stale or mis-keyed window would
-silently corrupt cycle counts — so these tests pin the contract stated
-in the module docstring: every ``get_or_map`` returns a window
-field-for-field identical to a fresh ``map_window`` call at the
-requested offset, regardless of hit/miss history.
+The cache is correctness-critical — a mis-keyed memo would silently
+corrupt cycle counts — so these tests pin the contract stated in the
+module docstring: a hit returns the memo stored under its content key,
+a miss returns a fresh, private window field-for-field identical to
+``map_window`` at the requested offset, and no mapped window outlives
+the point that mapped it.
 """
 
+import gc
 import sys
 import threading
+import weakref
+from collections import OrderedDict
 
 import pytest
 
@@ -17,9 +21,11 @@ from repro.kernels import all_specs, spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
     TABLE5_CONFIGS, map_window
 from repro.machine import processor as processor_mod
+from repro.machine import window_cache as window_cache_mod
 from repro.machine.config import named_config
 from repro.machine.fastcore import using_core
-from repro.machine.mapping import window_iterations
+from repro.machine.mapping import MappedWindow, window_iterations
+from repro.machine.stats import WindowTiming
 from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
 from repro.memory.system import MemorySystem
 from repro.obs import METRICS, TRACE, collecting, recording
@@ -28,6 +34,11 @@ from repro.perf import fingerprint_kernel
 
 def fft_point():
     return spec("fft").kernel(), MachineConfig.S_O(), MachineParams()
+
+
+def steady_memo():
+    """A stand-in steady window: the cache never looks inside one."""
+    return WindowTiming(iterations=4, machine_instructions=0, cycles=1), {}
 
 
 class TestContentKeys:
@@ -46,30 +57,52 @@ class TestMappedWindowCache:
     def test_miss_then_hit(self):
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
-        first = cache.get_or_map(kernel, config, params, 4)
-        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
-        second = cache.get_or_map(kernel, config, params, 4)
+        key, steady, window = cache.get_or_map(kernel, config, params, 4)
+        assert steady is None and isinstance(window, MappedWindow)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
+        memo = steady_memo()
+        cache.store(key, memo)
+        hit = cache.get_or_map(kernel, config, params, 4)
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
-        assert second is first  # shared structure, not a copy
+        assert hit == (key, memo, None)
+        assert hit[1] is memo  # the stored memo, not a copy
 
     def test_distinct_iterations_are_distinct_entries(self):
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
-        cache.get_or_map(kernel, config, params, 2)
-        cache.get_or_map(kernel, config, params, 4)
+        memos = {}
+        for iterations in (2, 4):
+            key, _, window = cache.get_or_map(kernel, config, params,
+                                              iterations)
+            assert window.iterations == iterations
+            memos[iterations] = steady_memo()
+            cache.store(key, memos[iterations])
         assert (cache.misses, len(cache)) == (2, 2)
+        for iterations in (2, 4):
+            _, steady, _ = cache.get_or_map(kernel, config, params,
+                                            iterations)
+            assert steady is memos[iterations]
 
-    def test_hit_rebases_to_requested_offset(self):
+    def test_miss_maps_at_requested_offset(self):
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
-        cache.get_or_map(kernel, config, params, 4, record_offset=0)
-        hit = cache.get_or_map(kernel, config, params, 4, record_offset=12)
+        _, _, window = cache.get_or_map(kernel, config, params, 4,
+                                        record_offset=12)
         fresh = map_window(kernel, config, params, iterations=4,
                            record_offset=12)
-        assert hit.record_offset == 12
-        assert hit.record_base == fresh.record_base
-        assert hit.out_base == fresh.out_base
-        assert hit.instances == fresh.instances
+        assert window.record_offset == 12
+        assert window.record_base == fresh.record_base
+        assert window.out_base == fresh.out_base
+        assert window.instances == fresh.instances
+
+    def test_miss_returns_a_private_window(self):
+        kernel, config, params = fft_point()
+        cache = MappedWindowCache()
+        first = cache.get_or_map(kernel, config, params, 4)
+        second = cache.get_or_map(kernel, config, params, 4)
+        assert first[0] == second[0]
+        assert second[2] is not first[2]
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 0)
 
     def test_independent_kernel_builds_share_entry(self):
         """Content addressing: two separately-built copies of the same
@@ -77,45 +110,135 @@ class TestMappedWindowCache:
         s = spec("fft")
         config, params = MachineConfig.S_O(), MachineParams()
         cache = MappedWindowCache()
-        cache.get_or_map(s.build(), config, params, 4)
-        cache.get_or_map(s.build(), config, params, 4)
+        key, _, _ = cache.get_or_map(s.build(), config, params, 4)
+        memo = steady_memo()
+        cache.store(key, memo)
+        assert cache.get_or_map(s.build(), config, params, 4)[1] is memo
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_lru_eviction_is_bounded(self):
         kernel, config, params = fft_point()
         cache = MappedWindowCache(maxsize=2)
         for iterations in (1, 2, 3):
-            cache.get_or_map(kernel, config, params, iterations)
+            key, _, _ = cache.get_or_map(kernel, config, params, iterations)
+            cache.store(key, steady_memo())
         assert len(cache) == 2
         # iterations=1 was least recently used: re-requesting it misses.
-        cache.get_or_map(kernel, config, params, 1)
+        _, steady, window = cache.get_or_map(kernel, config, params, 1)
+        assert steady is None and window is not None
         assert cache.misses == 4 and cache.hits == 0
 
     def test_engine_cores_have_distinct_entries(self):
-        """The active engine core is part of the key: the array core's
-        lazy SoA-backed window and the object core's eager one must not
-        be traded across a mid-process core switch — but their content
-        is identical."""
+        """The active engine core is part of the key: a run under one
+        core never replays the other core's memo, so the cross-core
+        tests keep comparing two simulations.  Each core's miss maps
+        its own kind of window — lazy or eager — with equal content."""
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
         with using_core("array"):
-            lazy = cache.get_or_map(kernel, config, params, 4)
+            array_key, _, lazy = cache.get_or_map(kernel, config, params, 4)
+            cache.store(array_key, steady_memo())
         with using_core("object"):
-            eager = cache.get_or_map(kernel, config, params, 4)
-        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 2)
-        assert eager is not lazy
-        assert eager.materialized
+            object_key, steady, eager = cache.get_or_map(kernel, config,
+                                                         params, 4)
+        assert steady is None
+        assert object_key != array_key
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 1)
+        assert not lazy.materialized and eager.materialized
         assert eager == lazy  # content equality regardless of core
-        with using_core("array"):
-            assert cache.get_or_map(kernel, config, params, 4) is lazy
+        object_memo = steady_memo()
+        cache.store(object_key, object_memo)
+        with using_core("object"):
+            assert cache.get_or_map(kernel, config, params, 4)[1] \
+                is object_memo
         assert cache.hits == 1
 
     def test_clear_resets_counters(self):
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
-        cache.get_or_map(kernel, config, params, 4)
+        key, _, _ = cache.get_or_map(kernel, config, params, 4)
+        cache.store(key, steady_memo())
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+
+
+class _RacingEntries(OrderedDict):
+    """The cache's entries, with another thread's eviction landing at
+    one chosen point."""
+
+    def __init__(self, race_on):
+        super().__init__()
+        self.race_on = race_on
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if self.race_on == "get":
+            self.clear()  # evicted after the get, before move_to_end
+        return value
+
+    def popitem(self, last=True):
+        if self.race_on == "popitem":
+            self.clear()  # another thread evicted the last entry first
+        return super().popitem(last=last)
+
+
+class TestConcurrentBookkeeping:
+    """No lock guards the cache: a concurrent caller's eviction between
+    two of its steps must not raise."""
+
+    def test_eviction_between_get_and_move_to_end(self):
+        kernel, config, params = fft_point()
+        cache = MappedWindowCache()
+        key, _, _ = cache.get_or_map(kernel, config, params, 4)
+        memo = steady_memo()
+        cache._steady = _RacingEntries("get")
+        cache.store(key, memo)
+        assert cache.get_or_map(kernel, config, params, 4)[1] is memo
+        assert (cache.hits, len(cache)) == (1, 0)
+
+    def test_two_threads_evicting_at_once(self):
+        cache = MappedWindowCache(maxsize=1)
+        cache._steady = _RacingEntries("popitem")
+        cache.store("a", steady_memo())
+        cache.store("b", steady_memo())
+        assert len(cache) == 0
+
+    def test_threads_hammering_one_small_cache(self, monkeypatch):
+        """Real threads, a 10 µs switch interval, more keys than slots:
+        every lookup returns a memo or a window, never raises, and the
+        counters add up."""
+        kernel, config, params = fft_point()
+        monkeypatch.setattr(window_cache_mod, "map_window",
+                            lambda *args, **kwargs: object())
+        cache = MappedWindowCache(maxsize=2)
+        errors, lookups = [], 4 * 200
+
+        def worker(seed):
+            try:
+                for step in range(lookups // 4):
+                    key, steady, window = cache.get_or_map(
+                        kernel, config, params, 1 + (seed + step) % 5)
+                    assert (steady is None) != (window is None)
+                    if window is not None:
+                        cache.store(key, steady_memo())
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,),
+                                    daemon=True) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.hits + cache.misses == lookups
+        assert len(cache) <= 2
 
 
 class TestProcessorIntegration:
@@ -259,9 +382,11 @@ class TestSteadyWindowMemo:
         for _ in range(2):
             with pytest.raises(RuntimeError, match="engine fault"):
                 processor.run(kernel, records, MachineConfig.S())
-        window = cache.get_or_map(kernel, MachineConfig.S(),
-                                  MachineParams(), 8)
-        assert window.steady is None
+        assert len(cache) == 0
+        _, steady, window = cache.get_or_map(kernel, MachineConfig.S(),
+                                             MachineParams(), 8)
+        assert steady is None and window is not None
+        assert (cache.hits, cache.misses) == (0, 3)
 
     def test_clear_and_eviction_drop_the_memo(self, monkeypatch):
         seeds = engine_runs(monkeypatch)
@@ -440,3 +565,50 @@ class TestSharedWindowRace:
         assert len(results) == len(threads) * len(points)
         for point, result in results:
             assert result == serial[point], point
+
+
+def mapped_windows(monkeypatch):
+    """Weak references to every window mapped from here on."""
+    refs = []
+    init = MappedWindow.__init__
+
+    def spying_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(MappedWindow, "__init__", spying_init)
+    return refs
+
+
+class TestNoWindowOutlivesItsPoint:
+    """The cache keeps steady windows, not mapped structures: each
+    block point's window is freed once the point has timed it."""
+
+    def test_paper_pass_keeps_no_mapped_window(self, monkeypatch):
+        from repro.harness import experiments
+
+        refs = mapped_windows(monkeypatch)
+        SHARED_WINDOW_CACHE.clear()
+        ctx = experiments.ExperimentContext(records=32,
+                                            large_kernel_records=16)
+        experiments.figure5(ctx)
+        experiments.table4(ctx)
+        experiments.table6(ctx)
+        gc.collect()
+        assert len(refs) == 40  # one per distinct block window
+        assert [ref for ref in refs if ref() is not None] == []
+        assert SHARED_WINDOW_CACHE.misses == len(SHARED_WINDOW_CACHE) == 40
+
+    def test_hit_maps_no_window_unless_observed(self, monkeypatch):
+        s = spec("convert")
+        point = (s.kernel(), s.workload(64, 1), MachineConfig.S_O_D())
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        reference = processor.run(*point)
+        refs = mapped_windows(monkeypatch)
+        assert processor.run(*point) == reference
+        assert refs == []
+        with checking():
+            assert processor.run(*point) == reference
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+        assert processor.window_cache.hits == 2

@@ -7,6 +7,7 @@ interchangeably, so their claim behavior (atomicity, guarded
 transitions, lease expiry, revocation) must match exactly.
 """
 
+import sqlite3
 import threading
 
 import pytest
@@ -196,3 +197,21 @@ class TestContention:
         rows = store.point_rows("job")
         assert all(r["status"] == POINT_DONE for r in rows)
         assert all(r["claims"] == 1 for r in rows)
+
+
+class TestClose:
+    def test_closed_memory_store_raises_instead_of_reopening_empty(self):
+        store = RunLedger(":memory:")
+        store.enqueue_points("job", sample_rows(2))
+        assert len(store.point_rows("job")) == 2
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            store.point_rows("job")
+        store.close()  # closing twice is harmless
+
+    def test_closed_file_store_reopens_on_next_use(self, tmp_path):
+        store = RunLedger(str(tmp_path / "claims.sqlite"))
+        store.enqueue_points("job", sample_rows(2))
+        store.close()
+        assert len(store.point_rows("job")) == 2
+        store.close()

@@ -340,3 +340,58 @@ class TestStatusReadsOutsideTheLock:
         assert "error" not in outcome
         assert outcome["value"]["progress"] == final
         assert outcome["value"] == q.status(job.job_id)
+
+
+class TestResultsPageReadsOutsideTheLock:
+    """A page whose claim-store read lands after a ledger-less job has
+    closed its in-memory store serves the final page."""
+
+    def test_page_read_after_the_close_serves_the_final_page(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import jobs
+
+        q = JobQueue(cache_dir=str(tmp_path / "cache")).start()
+        entered, closed = threading.Event(), threading.Event()
+        run_points, point_rows = jobs.run_points, RunLedger.point_rows
+        close = RunLedger.close
+
+        def gated_run_points(*args, **kwargs):
+            entered.wait(10.0)  # the page holds the live session
+            return run_points(*args, **kwargs)
+
+        def page_point_rows(store, *args, **kwargs):
+            if threading.current_thread().name == "page":
+                entered.set()
+                closed.wait(10.0)  # the job ended and closed its store
+            return point_rows(store, *args, **kwargs)
+
+        def closing(store):
+            close(store)
+            if store.path == ":memory:":
+                closed.set()
+
+        monkeypatch.setattr(jobs, "run_points", gated_run_points)
+        monkeypatch.setattr(RunLedger, "point_rows", page_point_rows)
+        monkeypatch.setattr(RunLedger, "close", closing)
+        try:
+            job = q.submit(small_spec())
+            deadline = time.monotonic() + 60.0
+            while (q.get(job.job_id).session is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            page = {}
+            reader = threading.Thread(
+                target=lambda: page.update(q.results_page(job.job_id)),
+                name="page", daemon=True,
+            )
+            reader.start()
+            reader.join(30.0)
+            assert not reader.is_alive()
+            assert closed.is_set()
+            final = q.results_page(job.job_id)
+            assert final["complete"] and len(final["rows"]) == 1
+            assert page == final
+        finally:
+            entered.set()
+            q.shutdown(wait=True, timeout=10.0)
