@@ -22,6 +22,7 @@ import itertools
 import json
 import random
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
@@ -167,25 +168,34 @@ def check_worker_failure(jobs: int = 4) -> FaultCheck:
     # drill needs the pool path, so pin a multi-CPU view for its scope.
     parallel.os.cpu_count = lambda: max(jobs, 2)
     try:
-        degraded = parallel.run_points(points, jobs=jobs)
-        dispatch = parallel.LAST_DISPATCH
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            degraded = parallel.run_points(points, jobs=jobs)
     except BrokenProcessPool:
         return FaultCheck("worker-failure", False,
                           "BrokenProcessPool leaked out of run_points")
     finally:
         parallel.ProcessPoolExecutor = original
         parallel.os.cpu_count = original_cpus
-    if dispatch is None or dispatch.mode != "pool-fallback":
-        mode = dispatch.mode if dispatch else "none"
-        return FaultCheck("worker-failure", False,
-                          f"expected pool-fallback dispatch, got {mode}")
+    fallbacks = [
+        str(w.message) for w in caught
+        if issubclass(w.category, RuntimeWarning)
+        and "BrokenProcessPool" in str(w.message)
+    ]
+    if len(fallbacks) != 1:
+        return FaultCheck(
+            "worker-failure", False,
+            f"expected one RuntimeWarning naming BrokenProcessPool, "
+            f"got {len(fallbacks)}",
+        )
     if degraded != serial:
         return FaultCheck("worker-failure", False,
                           "fallback results diverged from the serial loop")
     return FaultCheck(
         "worker-failure", True,
-        f"pool of {jobs} died; dispatch degraded to pool-fallback with "
-        f"results identical to the serial loop over {len(points)} points",
+        f"pool of {jobs} died; run_points warned once and fell back to "
+        f"the serial loop, with results identical to it over "
+        f"{len(points)} points",
     )
 
 

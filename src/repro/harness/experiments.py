@@ -16,6 +16,7 @@ is constructed with ``jobs > 1``.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +37,7 @@ from ..machine.params import MachineParams
 from ..machine.processor import GridProcessor
 from ..machine.stats import RunResult, harmonic_mean
 from ..obs.ledger import LEDGER
-from ..obs.progress import PROGRESS, point_label
+from ..obs.progress import progress_state
 from ..perf.cache import RunCache
 from ..perf.fingerprint import (
     combine_fingerprints,
@@ -45,7 +46,6 @@ from ..perf.fingerprint import (
     fingerprint_params,
     fingerprint_records,
 )
-from ..perf import parallel as parallel_mod
 from ..perf.parallel import SweepPoint, effective_workers, run_points
 from .reporting import fmt_float, fmt_speedup, render_table
 
@@ -158,6 +158,14 @@ class ExperimentContext:
         #: (:meth:`~repro.perf.parallel.JobConstants.simulate`)
         self.simulated_points = 0
         self.copied_points = 0
+        #: the progress view (:meth:`progress_snapshot`): the live
+        #: sweep's claim session, the points of finished sweeps (total,
+        #: and done by backend) and when the first sweep started
+        self._progress_lock = threading.Lock()
+        self._session = None
+        self._swept_total = 0
+        self._swept: Dict[str, int] = {}
+        self._progress_started: Optional[float] = None
 
     def kernel(self, name: str):
         """The (cached) built kernel for a benchmark.
@@ -305,7 +313,15 @@ class ExperimentContext:
         once (:meth:`~repro.perf.parallel.JobConstants.simulate`).
         Either way results land in the cache, so later :meth:`run`
         calls return the same objects.
+
+        Both paths run as claim consumers of one session: the points
+        become claim rows, so with a ledger configured concurrent
+        workers on the same database split the sweep, rows they
+        finish are adopted instead of re-simulated, and
+        :meth:`progress_snapshot` reads how far the sweep is.
         """
+        from ..sched import session_for_points
+
         b = self._backend(backend)
         results: Dict[Tuple[str, str], RunResult] = {}
         missing: List[Tuple[str, MachineConfig, str]] = []
@@ -320,105 +336,123 @@ class ExperimentContext:
                 missing.append((name, config, fp))
         if not missing:
             return results
-        if effective_workers(self.jobs, len(missing)) < 2:
-            # Serial in-context fast path: bit-identical to the worker
-            # (same seed, records, params), minus its per-point rebuild
-            # of workloads and fingerprints.  A point whose machine a
-            # job-mate already simulated gets a copy of that result
-            # under its own configuration name.  The scan above already
-            # charged the cache miss, so simulate and store directly
-            # rather than re-probing through :meth:`run`.  Like the
-            # pool path, this runs as a claim consumer: the points
-            # become claim rows, so with a ledger configured concurrent
-            # workers on the same database split the sweep and rows
-            # they finish are adopted instead of re-simulated.
-            from ..sched import session_for_points
-
-            sweep_started = time.perf_counter()
-            want_progress = PROGRESS.enabled
-            if want_progress:
-                PROGRESS.add_total(len(missing))
-            points = [
-                self._point(name, config, b) for name, config, _ in missing
-            ]
-            session = session_for_points(points)
-            payloads: Dict[int, RunResult] = {}
-            ran = set()
-
-            def _run_seq(seq: int) -> RunResult:
-                name, config, fp = missing[seq]
-                label = point_label(b.name, name, config.name)
-                if want_progress:
-                    PROGRESS.point_started(label)
-                started = time.perf_counter()
-                result = session.constants.simulate(
-                    points[seq], b, self.kernel(name), self.workload(name),
-                    fp,
-                )
-                seconds = time.perf_counter() - started
-                self.point_seconds[(self._label(b, name), config.name)] = (
-                    seconds
-                )
-                session.complete(
-                    seq, result, wall_seconds=seconds, cache="miss"
-                )
-                if want_progress:
-                    PROGRESS.point_finished(label, backend=b.name)
-                self.cache.put(fp, result)
-                ran.add(seq)
-                return result
-
-            def _adopted(seq: int, row: dict) -> None:
-                # Another worker ran it; keep the bench accounting and
-                # progress stream complete anyway.
-                name, config, _ = missing[seq]
-                wall = row.get("wall_seconds")
-                if wall is not None:
-                    self.point_seconds[
-                        (self._label(b, name), config.name)
-                    ] = float(wall)
-                if want_progress:
-                    PROGRESS.point_finished(
-                        point_label(b.name, name, config.name),
-                        backend=b.name,
-                    )
-
-            try:
-                session.enqueue(points)
-                session.wait_remaining(
-                    payloads, runner=_run_seq, on_adopted=_adopted
-                )
-            finally:
-                self.simulated_points += session.constants.simulated
-                self.copied_points += session.constants.copied
-                session.close()
-            for seq, (name, config, fp) in enumerate(missing):
-                result = payloads[seq]
-                if seq not in ran:
-                    # Adopted from another worker's DONE row: it still
-                    # lands in this context's cache tiers.
-                    self.cache.put(fp, result)
-                results[(name, config.name)] = result
-            wall = time.perf_counter() - sweep_started
-            parallel_mod.LAST_DISPATCH = parallel_mod.DispatchStats(
-                points=len(missing),
-                workers=1,
-                mode="in-context",
-                wall_seconds=wall,
-                busy_seconds=wall,
-            )
-            return results
         points = [
             self._point(name, config, b) for name, config, _ in missing
         ]
-        timed = run_points(points, jobs=self.jobs, timed=True)
-        # Each pool point is a job of its own, so none is a copy.
-        self.simulated_points += len(timed)
-        for (name, config, fp), (result, seconds) in zip(missing, timed):
-            self.cache.put(fp, result)
-            self.point_seconds[(self._label(b, name), config.name)] = seconds
+        session = session_for_points(points)
+        with self._progress_lock:
+            if self._progress_started is None:
+                self._progress_started = time.time()
+            self._session = session
+        in_context = effective_workers(self.jobs, len(missing)) < 2
+        swept = False
+        try:
+            if in_context:
+                fresh = self._sweep_in_context(session, points, missing, b)
+            else:
+                timed = run_points(
+                    points, jobs=self.jobs, timed=True, session=session
+                )
+                # Each pool point is a job of its own, so none is a copy;
+                # a serial fallback's copies are on the session.
+                self.simulated_points += len(timed) - session.constants.copied
+                for (name, config, fp), (result, seconds) in zip(
+                        missing, timed):
+                    self.cache.put(fp, result)
+                    self.point_seconds[
+                        (self._label(b, name), config.name)
+                    ] = seconds
+                fresh = [result for result, _ in timed]
+            swept = True
+        finally:
+            if in_context:
+                self.simulated_points += session.constants.simulated
+            self.copied_points += session.constants.copied
+            # A sweep leaves the live view and joins the finished count
+            # at once, before its store closes: a tick never reads a
+            # closed store, nor counts a point twice.
+            with self._progress_lock:
+                self._session = None
+                self._swept_total += len(points)
+                if swept:
+                    self._swept[b.name] = (
+                        self._swept.get(b.name, 0) + len(points)
+                    )
+            session.close()
+        for (name, config, _), result in zip(missing, fresh):
             results[(name, config.name)] = result
         return results
+
+    def _sweep_in_context(
+        self, session, points: List[SweepPoint],
+        missing: List[Tuple[str, MachineConfig, str]], b: Backend,
+    ) -> List[RunResult]:
+        """Run a sweep's claimed points in this process, in seq order.
+
+        Bit-identical to the pool worker (same seed, records, params),
+        minus its per-point rebuild of workloads and fingerprints.  A
+        point whose machine a job-mate already simulated gets a copy of
+        that result under its own configuration name.  The caller's
+        scan already charged the cache miss, so each point is simulated
+        and stored directly rather than re-probed through :meth:`run`.
+        """
+        payloads: Dict[int, RunResult] = {}
+
+        def run(seq: int) -> RunResult:
+            name, config, fp = missing[seq]
+            result, seconds = session.run_claimed(seq, lambda point: (
+                session.constants.simulate(
+                    point, b, self.kernel(name), self.workload(name), fp
+                ),
+                "miss",
+            ))
+            self.point_seconds[(self._label(b, name), config.name)] = (
+                seconds
+            )
+            self.cache.put(fp, result)
+            return result
+
+        def adopted(seq: int, row: dict) -> None:
+            # Another worker ran it: it still lands in this context's
+            # cache tiers, and the bench accounting stays complete.
+            name, config, fp = missing[seq]
+            wall = row.get("wall_seconds")
+            if wall is not None:
+                self.point_seconds[
+                    (self._label(b, name), config.name)
+                ] = float(wall)
+            self.cache.put(fp, payloads[seq])
+
+        session.enqueue(points)
+        session.wait_remaining(payloads, runner=run, on_adopted=adopted)
+        return [payloads[seq] for seq in range(len(missing))]
+
+    def progress_snapshot(self) -> dict:
+        """Progress of every point this context sent to a claim session.
+
+        A :func:`~repro.obs.progress.progress_state` snapshot, which
+        the ``--progress`` ticker prints: the points of finished sweeps
+        count as done (a sweep that raised adds to the total only),
+        plus the live sweep's claim rows, read from its store here and
+        only here, so an unwatched sweep reads nothing.
+        """
+        with self._progress_lock:
+            per_backend = dict(self._swept)
+            completed = sum(per_backend.values())
+            total = self._swept_total
+            in_flight: List[str] = []
+            last_point = None
+            if self._session is not None:
+                live = self._session.progress_snapshot()
+                completed += live["completed"]
+                total += live["total"]
+                in_flight, last_point = live["in_flight"], live["last_point"]
+                for name, count in live["per_backend"].items():
+                    per_backend[name] = per_backend.get(name, 0) + count
+            started = self._progress_started
+        return progress_state(
+            completed, total, in_flight, started, per_backend, last_point
+        )
 
     def supports(
         self,

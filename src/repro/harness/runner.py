@@ -18,7 +18,6 @@ from ..machine.fastcore import VALID_MODES, active_core, set_engine_core
 from ..machine.params import MachineParams
 from ..obs.ledger import LEDGER, add_ledger_arguments, configure_from_args
 from ..obs.progress import progress_ticker
-from ..perf import parallel
 from . import experiments
 from .profiling import add_profile_arguments, profiled
 
@@ -146,7 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.progress:
         # Ticker lines go to stderr only; stdout stays byte-identical.
-        with progress_ticker():
+        with progress_ticker(ctx.progress_snapshot):
             run_all()
     else:
         run_all()
@@ -157,7 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run_summary(ctx: experiments.ExperimentContext) -> str:
-    """End-of-run accounting: run-cache traffic and sweep dispatch."""
+    """End-of-run accounting: engine core, points and run-cache traffic."""
     stats = ctx.cache.stats
     lines = [
         "run summary",
@@ -171,16 +170,6 @@ def run_summary(ctx: experiments.ExperimentContext) -> str:
     ]
     if LEDGER.enabled and LEDGER.path is not None:
         lines.append(f"  run ledger       : {LEDGER.path} (see repro-perf)")
-    dispatch = parallel.LAST_DISPATCH
-    if dispatch is not None:
-        line = (
-            f"  dispatch         : {dispatch.mode},"
-            f" {dispatch.workers} worker(s),"
-            f" {dispatch.points} point(s)"
-        )
-        if dispatch.utilization is not None:
-            line += f", {dispatch.utilization:.0%} worker utilization"
-        lines.append(line)
     return "\n".join(lines)
 
 

@@ -20,8 +20,9 @@ path:
 
 Each public entry point branches once on :func:`active_core`: the
 ``REPRO_ENGINE_CORE`` environment variable (``array`` | ``object``),
-overridable per process with :func:`set_engine_core` or scoped with
-:func:`using_core`.  The default is ``array``; ``object`` runs the
+overridable per process with :func:`set_engine_core` or scoped to a
+block of the calling thread with :func:`using_core`.  The default is
+``array``; ``object`` runs the
 specification loops, and ``tests/machine/test_fastcore_equivalence.py``
 pins the two to bit-exact equality.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
 #: Engine-core names :func:`set_engine_core` / :func:`using_core` accept.
@@ -37,6 +39,12 @@ VALID_MODES = ("array", "object")
 
 #: Process-wide override; ``None`` defers to ``REPRO_ENGINE_CORE``.
 _MODE: Optional[str] = None
+
+#: The calling thread's :func:`using_core` scope; ``None`` defers to
+#: the process-wide choice.  Each thread starts unscoped.
+_SCOPED: ContextVar[Optional[str]] = ContextVar(
+    "repro_engine_core", default=None
+)
 
 def _validate(mode: Optional[str]) -> None:
     if mode is not None and mode not in VALID_MODES:
@@ -51,7 +59,9 @@ def active_core() -> str:
     ``"object"`` only when explicitly requested; any other setting —
     including none at all — means ``"array"``.
     """
-    mode = _MODE if _MODE is not None else os.environ.get("REPRO_ENGINE_CORE")
+    mode = (
+        _SCOPED.get() or _MODE or os.environ.get("REPRO_ENGINE_CORE")
+    )
     return "object" if mode == "object" else "array"
 
 
@@ -74,15 +84,19 @@ def set_engine_core(mode: Optional[str]) -> None:
 
 @contextmanager
 def using_core(mode: Optional[str]) -> Iterator[None]:
-    """Scope an engine-core choice to a block (this process only)."""
-    global _MODE
+    """Scope an engine-core choice to a block of the calling thread.
+
+    Other threads keep their own choice: a service job pinned to one
+    core never switches a sibling worker's core, window-cache key or
+    ledger ``engine_core`` tag.  ``None`` defers to the process-wide
+    choice for the block.
+    """
     _validate(mode)
-    previous = _MODE
-    _MODE = mode
+    token = _SCOPED.set(mode)
     try:
         yield
     finally:
-        _MODE = previous
+        _SCOPED.reset(token)
 
 
 __all__ = [

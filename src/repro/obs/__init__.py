@@ -1,7 +1,7 @@
 """Observability for the simulation pipeline (``repro.obs``).
 
-Four coupled layers, all following the :data:`~repro.perf.phases.PHASES`
-pattern of near-zero cost when disabled:
+Three instruments following the :data:`~repro.perf.phases.PHASES`
+pattern of near-zero cost when disabled, and the progress view:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
   and histograms (``l1.hits``, ``net.operand_hops``,
@@ -16,9 +16,9 @@ pattern of near-zero cost when disabled:
   dispatched simulation point (fingerprint, backend, engine core,
   phases, metrics snapshot, cache/sanitizer verdicts, provenance),
   read back by the ``repro-perf`` CLI (:mod:`repro.obs.perfcli`);
-* :mod:`repro.obs.progress` — live sweep progress with a
-  ``get_current_state()`` snapshot API and the
-  ``repro-experiments --progress`` stderr ticker.
+* :mod:`repro.obs.progress` — live sweep progress as a view of the
+  claim rows (:meth:`repro.sched.ClaimSession.progress_snapshot`), and
+  the ``repro-experiments --progress`` stderr ticker.
 
 This package deliberately imports nothing from ``repro.machine`` or
 ``repro.memory`` at module level — those layers import *it*, so the
@@ -39,12 +39,10 @@ from .ledger import (
 )
 from .metrics import METRICS, Histogram, MetricsRegistry, collecting
 from .progress import (
-    PROGRESS,
-    ProgressTracker,
     point_label,
+    progress_state,
     progress_ticker,
     render_state,
-    tracking,
 )
 from .trace import (
     CTL,
@@ -94,10 +92,8 @@ __all__ = [
     "RunLedger",
     "current_git_sha",
     "ledger_to",
-    "PROGRESS",
-    "ProgressTracker",
-    "tracking",
     "point_label",
+    "progress_state",
     "render_state",
     "progress_ticker",
     "TRACE",

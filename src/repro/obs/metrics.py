@@ -6,7 +6,7 @@ operand or memory traffic in each configuration — through named metrics:
 * **counters** — monotonically increasing totals (``l1.hits``,
   ``net.operand_hops``, ``revitalize.broadcasts``);
 * **gauges** — last-written values for levels and ratios
-  (``runcache.hit_rate``, ``dispatch.worker_utilization``);
+  (``runcache.hit_rate``);
 * **histograms** — bounded summaries (count/sum/min/max) of repeated
   observations (``alu.node_issue_slots`` across nodes).
 

@@ -1,132 +1,28 @@
-"""Live sweep progress: who is running, how far along, how fast.
+"""Live sweep progress: a view of the claim rows.
 
-A long sweep through :func:`repro.perf.parallel.run_points` was a black
-box — nothing said how many points had finished or how long the rest
-would take.  :data:`PROGRESS` is the process-wide tracker the sweep
-layers publish into:
+Every sweep runs its points as rows of a claim store
+(:mod:`repro.sched`), so how far along it is — completed/total, the
+points in flight, per-backend completions — is a count of those rows,
+not a second account kept beside them.
+:meth:`ClaimSession.progress_snapshot <repro.sched.ClaimSession.progress_snapshot>`
+reads one job's rows (``GET /jobs/{id}`` serves it), and
+:meth:`ExperimentContext.progress_snapshot <repro.harness.experiments.ExperimentContext.progress_snapshot>`
+adds the rows of a context's finished sweeps to its live one, which
+the ``repro-experiments --progress`` stderr ticker
+(:func:`progress_ticker`) prints.
 
-* :func:`run_points` adds every batch to the total and marks points
-  started/finished as the serial loop (exactly) or the process pool
-  (modeled by its chunked scheduling window) advances;
-* :meth:`ExperimentContext.run_many <repro.harness.experiments.ExperimentContext.run_many>`'s
-  in-context serial path publishes the same events, so progress covers
-  every dispatch route.
-
-:meth:`ProgressTracker.get_current_state` returns a plain-dict snapshot
-(completed/total, points per second, ETA, per-backend completion
-counts, the labels currently in flight) — the exact shape the service
-layer's status streaming will serve per run ID.  The
-``repro-experiments --progress`` flag feeds the snapshot to a stderr
-ticker thread (:func:`progress_ticker`) for humans watching a sweep.
-
-Like :data:`~repro.perf.phases.PHASES`, the tracker is explicitly
-enabled and near-zero cost when off: publishing sites guard with
-``if PROGRESS.enabled:`` and pay one attribute test.  All state
-mutations take an internal lock, so the ticker thread reads a
-consistent snapshot while the sweep publishes from the main thread.
+Both build their snapshot with :func:`progress_state`, so the shape and
+its clamps live here, and both read the store only when asked: a sweep
+that nobody watches pays nothing.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 from contextlib import contextmanager
-from time import perf_counter
-from typing import Dict, List, Optional
-
-
-class ProgressTracker:
-    """Thread-safe completed/total/in-flight accounting for sweeps."""
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._lock = threading.Lock()
-        self._reset_locked()
-
-    def _reset_locked(self) -> None:
-        self._total = 0
-        self._completed = 0
-        self._started_at: Optional[float] = None
-        self._in_flight: Dict[str, float] = {}   # label -> start stamp
-        self._per_backend: Dict[str, int] = {}
-        self._last_label: Optional[str] = None
-
-    def reset(self) -> None:
-        """Forget all progress (a new tracking scope starts from zero)."""
-        with self._lock:
-            self._reset_locked()
-
-    def add_total(self, count: int) -> None:
-        """Announce ``count`` more points that will be simulated."""
-        with self._lock:
-            if self._started_at is None:
-                self._started_at = perf_counter()
-            self._total += count
-
-    def point_started(self, label: str) -> None:
-        """Mark one point (a ``backend:kernel|config`` label) in flight."""
-        with self._lock:
-            if self._started_at is None:
-                self._started_at = perf_counter()
-            self._in_flight[label] = perf_counter()
-
-    def point_finished(self, label: str, backend: Optional[str] = None) -> None:
-        """Mark one point complete (tolerates a missing start event).
-
-        A finish without any prior ``add_total``/``point_started`` —
-        cache-hit replays publish exactly that — still starts the
-        clock, so the first snapshot after it reports a real rate
-        instead of a frozen ``0.0/s``.
-        """
-        with self._lock:
-            if self._started_at is None:
-                self._started_at = perf_counter()
-            self._in_flight.pop(label, None)
-            self._completed += 1
-            self._last_label = label
-            if backend is not None:
-                self._per_backend[backend] = (
-                    self._per_backend.get(backend, 0) + 1
-                )
-
-    def get_current_state(self) -> dict:
-        """A consistent snapshot of the sweep right now.
-
-        Keys: ``completed``, ``total``, ``in_flight`` (sorted labels),
-        ``elapsed_seconds``, ``points_per_second``, ``eta_seconds``
-        (None until at least one point lands), ``per_backend``
-        (completion counts) and ``last_point``.  This is the shape the
-        service layer's ``get_current_state()`` status endpoint serves.
-        """
-        with self._lock:
-            # Clamp against every publication-order edge case: elapsed
-            # can be exactly zero on the first snapshot (coarse clocks,
-            # finish-before-start), and a resubmitted job replays
-            # finishes without announcing totals, so completed may
-            # overtake total.  Neither may yield a negative remaining
-            # count, an infinite rate, nor a negative ETA.
-            elapsed = (
-                max(0.0, perf_counter() - self._started_at)
-                if self._started_at is not None else 0.0
-            )
-            rate = self._completed / elapsed if elapsed > 0 else 0.0
-            total = max(self._total, self._completed)
-            remaining = max(0, total - self._completed)
-            eta = remaining / rate if rate > 0 else None
-            return {
-                "completed": self._completed,
-                "total": total,
-                "in_flight": sorted(self._in_flight),
-                "elapsed_seconds": elapsed,
-                "points_per_second": rate,
-                "eta_seconds": eta,
-                "per_backend": dict(sorted(self._per_backend.items())),
-                "last_point": self._last_label,
-            }
-
-
-#: The process-wide tracker the sweep layers publish into.
-PROGRESS = ProgressTracker()
+from typing import Callable, Dict, List, Optional
 
 
 def point_label(backend: str, kernel: str, config: str) -> str:
@@ -134,31 +30,40 @@ def point_label(backend: str, kernel: str, config: str) -> str:
     return f"{backend}:{kernel}|{config}"
 
 
-class tracking:
-    """Context manager enabling PROGRESS around a block.
+def progress_state(
+    completed: int,
+    total: int,
+    in_flight: List[str],
+    started_at: Optional[float],
+    per_backend: Dict[str, int],
+    last_point: Optional[str] = None,
+) -> dict:
+    """One progress snapshot.
 
-    >>> with tracking() as progress:
-    ...     run_points(points, jobs=4)
-    >>> progress.get_current_state()["completed"]
-
-    Starts from a clean tracker (``reset=True``, the default) and
-    restores the previous enabled flag on exit; the final state stays
-    readable after exit so callers can report totals.
+    Keys: ``completed``, ``total``, ``in_flight`` (labels),
+    ``elapsed_seconds`` since the wall-clock stamp ``started_at``,
+    ``points_per_second``, ``eta_seconds`` (None until a rate is
+    known), ``per_backend`` (completion counts) and ``last_point``.
+    Elapsed time is clamped at zero (a start stamp ahead of the clock)
+    and total at completed, so no snapshot has a negative remaining
+    count, an infinite rate or a negative ETA.
     """
-
-    def __init__(self, reset: bool = True):
-        self._reset = reset
-        self._was_enabled = False
-
-    def __enter__(self) -> ProgressTracker:
-        self._was_enabled = PROGRESS.enabled
-        if self._reset:
-            PROGRESS.reset()
-        PROGRESS.enabled = True
-        return PROGRESS
-
-    def __exit__(self, *exc) -> None:
-        PROGRESS.enabled = self._was_enabled
+    elapsed = (
+        max(0.0, time.time() - started_at) if started_at is not None
+        else 0.0
+    )
+    rate = completed / elapsed if elapsed > 0 else 0.0
+    total = max(total, completed)
+    return {
+        "completed": completed,
+        "total": total,
+        "in_flight": in_flight,
+        "elapsed_seconds": elapsed,
+        "points_per_second": rate,
+        "eta_seconds": (total - completed) / rate if rate > 0 else None,
+        "per_backend": dict(sorted(per_backend.items())),
+        "last_point": last_point,
+    }
 
 
 def render_state(state: dict) -> str:
@@ -185,41 +90,39 @@ def render_state(state: dict) -> str:
 
 
 @contextmanager
-def progress_ticker(interval: float = 1.0, stream=None):
-    """Enable tracking and print a progress line every ``interval`` s.
+def progress_ticker(
+    snapshot: Callable[[], dict], interval: float = 1.0, stream=None
+):
+    """Print a :func:`render_state` line of ``snapshot()`` every
+    ``interval`` s.
 
-    The ticker is a daemon thread writing :func:`render_state` lines to
-    ``stream`` (default stderr — stdout stays byte-identical for the
-    experiment reports).  A final line is always printed on exit, so
-    even sweeps shorter than one interval leave a summary.
+    The ticker is a daemon thread writing to ``stream`` (default
+    stderr — stdout stays byte-identical for the experiment reports).
+    A final line is always printed on exit, so even sweeps shorter
+    than one interval leave a summary.
     """
     stream = stream if stream is not None else sys.stderr
     stop = threading.Event()
 
     def tick() -> None:
         while not stop.wait(interval):
-            print(render_state(PROGRESS.get_current_state()),
-                  file=stream, flush=True)
+            print(render_state(snapshot()), file=stream, flush=True)
 
-    with tracking() as tracker:
-        thread = threading.Thread(
-            target=tick, name="repro-progress-ticker", daemon=True
-        )
-        thread.start()
-        try:
-            yield tracker
-        finally:
-            stop.set()
-            thread.join(timeout=interval + 1.0)
-            print(render_state(tracker.get_current_state()),
-                  file=stream, flush=True)
+    thread = threading.Thread(
+        target=tick, name="repro-progress-ticker", daemon=True
+    )
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=interval + 1.0)
+        print(render_state(snapshot()), file=stream, flush=True)
 
 
 __all__ = [
-    "PROGRESS",
-    "ProgressTracker",
-    "tracking",
     "point_label",
+    "progress_state",
     "render_state",
     "progress_ticker",
 ]

@@ -49,6 +49,7 @@ import dataclasses
 import os
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -58,8 +59,6 @@ from ..machine.config import MachineConfig
 from ..machine.params import MachineParams
 from ..machine.stats import RunResult
 from ..obs.ledger import LEDGER, encode_params
-from ..obs.metrics import METRICS
-from ..obs.progress import PROGRESS, point_label
 from .phases import PHASES, measuring
 
 
@@ -344,38 +343,6 @@ def _pool_worker_phased(point: SweepPoint):
     return payload, snapshot
 
 
-@dataclass
-class DispatchStats:
-    """How the last :func:`run_points` call actually dispatched.
-
-    ``mode`` is ``"serial"`` (one effective worker), ``"pool"`` (the
-    process pool ran), or ``"pool-fallback"`` (a pool was wanted but
-    could not be spawned — e.g. a sandbox — and the sweep degraded to
-    the serial loop).  ``busy_seconds`` is only populated for timed
-    sweeps, whose results carry each point's wall seconds.
-    """
-
-    points: int = 0
-    workers: int = 1
-    mode: str = "serial"
-    wall_seconds: float = 0.0
-    busy_seconds: float = 0.0
-
-    @property
-    def utilization(self) -> Optional[float]:
-        """Fraction of worker-seconds spent simulating (timed runs only)."""
-        if self.busy_seconds and self.wall_seconds:
-            return min(
-                1.0, self.busy_seconds / (self.workers * self.wall_seconds)
-            )
-        return None
-
-
-#: Dispatch accounting of the most recent :func:`run_points` call in
-#: this process (None until the first sweep runs).
-LAST_DISPATCH: Optional[DispatchStats] = None
-
-
 def _estimated_cost(point: SweepPoint) -> int:
     """Relative cost estimate for longest-first scheduling.
 
@@ -401,35 +368,6 @@ def effective_workers(jobs: int, n_points: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, n_points))
 
 
-def _progress_label(point: SweepPoint) -> str:
-    """The tracker label of one sweep point (``backend:kernel|config``)."""
-    return point_label(point.backend, point.kernel, point.config.name)
-
-
-def _drain_pool(mapped, points, order, window: int) -> List:
-    """Consume pool results, publishing live progress as they land.
-
-    ``pool.map`` yields in submission order as chunks complete, so each
-    consumed payload retires ``points[order[i]]``.  The in-flight set
-    models the pool's chunked scheduling: the first ``window``
-    (= workers × chunksize) submissions start immediately and each
-    completion admits the next — exact for the serial loop, a faithful
-    approximation for the pool (workers own whole chunks).
-    """
-    results: List = []
-    dispatched = min(window, len(order))
-    for j in range(dispatched):
-        PROGRESS.point_started(_progress_label(points[order[j]]))
-    for payload in mapped:
-        point = points[order[len(results)]]
-        results.append(payload)
-        PROGRESS.point_finished(_progress_label(point), backend=point.backend)
-        if dispatched < len(order):
-            PROGRESS.point_started(_progress_label(points[order[dispatched]]))
-            dispatched += 1
-    return results
-
-
 def run_points(
     points: Sequence[SweepPoint],
     jobs: int = 1,
@@ -442,12 +380,16 @@ def run_points(
     :class:`~repro.machine.stats.RunResult`, or ``(result, seconds)``
     pairs when ``timed=True``.  Dispatch degrades to a deterministic
     serial loop whenever a pool cannot help (``jobs <= 1``, one CPU,
-    a single point) or cannot be spawned (sandboxed environments).
+    a single point) or cannot run (sandboxed environments, workers
+    that die); a pool that cannot run says so with one
+    ``RuntimeWarning`` naming the exception.
 
     The sweep runs as a claim consumer: points become PENDING rows of
     one job in a claim store (see :mod:`repro.sched`), both dispatch
     paths only run rows they claimed, and results are recorded back as
-    DONE rows with their cache verdicts.  Rows another worker finished
+    DONE rows with their cache verdicts, the pool's as each lands, so
+    :meth:`~repro.sched.ClaimSession.progress_snapshot` follows the
+    sweep.  Rows another worker finished
     (shared-ledger sharding, resumed service jobs) are *adopted* —
     deserialized from the store instead of re-run — and rows whose
     worker died are reclaimed after lease expiry, so the call still
@@ -460,30 +402,16 @@ def run_points(
     When ``PHASES`` measurement is on, pool workers snapshot their own
     accumulators and the parent folds them back in, so phase breakdowns
     stay meaningful for parallel sweeps too (credited as worker time —
-    the pool overlaps it with the parent's wall clock).  Dispatch
-    accounting for the call is left in :data:`LAST_DISPATCH`.
-
-    When the live progress tracker
-    (:data:`repro.obs.progress.PROGRESS`) is enabled, the sweep
-    publishes per-point started/finished events as it advances, so
-    ``PROGRESS.get_current_state()`` (and the ``--progress`` ticker)
-    reports completed/total, rate, ETA and the points in flight
-    mid-sweep.
+    the pool overlaps it with the parent's wall clock).
     """
-    global LAST_DISPATCH
     from ..sched import session_for_points
 
     points = list(points)
     workers = effective_workers(jobs, len(points))
     want_phases = PHASES.enabled
-    want_progress = PROGRESS.enabled
-    if want_progress:
-        PROGRESS.add_total(len(points))
     own_session = session is None
     if own_session:
         session = session_for_points(points)
-    stats = DispatchStats(points=len(points))
-    started = time.perf_counter()
     payloads: Dict[int, object] = {}
     try:
         enqueued = session.enqueue(points)
@@ -506,85 +434,48 @@ def run_points(
                         [enqueued[i] for i in order],
                         chunksize=chunksize,
                     )
-                    if want_progress:
-                        shuffled = _drain_pool(
-                            mapped, enqueued, order, workers * chunksize
+                    # pool.map yields in submission order as chunks
+                    # complete: each row is DONE as its result lands.
+                    for i, payload in zip(order, mapped):
+                        if want_phases:
+                            payload, snapshot = payload
+                            for name, elapsed in snapshot.items():
+                                PHASES.add(name, elapsed)
+                        result, seconds, verdict = payload
+                        session.complete(
+                            i, result, wall_seconds=seconds, cache=verdict
                         )
-                    else:
-                        shuffled = list(mapped)
+                        payloads[i] = (result, seconds) if timed else result
             except (OSError, PermissionError, NotImplementedError,
-                    BrokenProcessPool):
+                    BrokenProcessPool) as exc:
                 # Pools that cannot spawn (sandboxes) or whose workers
                 # died mid-sweep degrade to the serial loop — never
-                # wrong results, never a crash.  The claims go back to
-                # PENDING so the consumer loop below (or any other
-                # worker) can take them.  KeyboardInterrupt propagates.
-                stats.mode = "pool-fallback"
+                # wrong results, never a crash.  Completed rows stay;
+                # the other claims go back to PENDING so the consumer
+                # loop below (or any other worker) can take them.
+                # KeyboardInterrupt propagates.
+                warnings.warn(
+                    f"process pool of {workers} could not run "
+                    f"({type(exc).__name__}: {exc}); running the "
+                    "remaining points serially",
+                    RuntimeWarning, stacklevel=2,
+                )
                 session.release()
-            else:
-                stats.mode = "pool"
-                stats.workers = workers
-                for i, payload in zip(order, shuffled):
-                    if want_phases:
-                        payload, snapshot = payload
-                        for name, elapsed in snapshot.items():
-                            PHASES.add(name, elapsed)
-                    result, seconds, verdict = payload
-                    session.complete(
-                        i, result, wall_seconds=seconds, cache=verdict
-                    )
-                    payloads[i] = (result, seconds) if timed else result
+
+        def simulate(point: SweepPoint):
+            result, _, verdict = simulate_point_meta(
+                point, session.constants
+            )
+            return result, verdict
+
+        def run(seq: int):
+            result, seconds = session.run_claimed(seq, simulate)
+            return (result, seconds) if timed else result
+
         # The serial consumer: whatever the pool did not run (all of it
         # on one worker), rows another worker finished, expired leases.
-        session.wait_remaining(
-            payloads,
-            runner=lambda seq: _run_claimed(
-                session, enqueued, seq, timed, want_progress
-            ),
-            timed=timed,
-            on_adopted=(
-                (lambda seq, row: PROGRESS.point_finished(
-                    _progress_label(enqueued[seq]),
-                    backend=enqueued[seq].backend,
-                )) if want_progress else None
-            ),
-        )
-        results = [payloads[i] for i in range(len(enqueued))]
+        session.wait_remaining(payloads, runner=run, timed=timed)
+        return [payloads[i] for i in range(len(enqueued))]
     finally:
         if own_session:
             session.close()
-    stats.wall_seconds = time.perf_counter() - started
-    if timed:
-        stats.busy_seconds = sum(seconds for _, seconds in results)
-    utilization = stats.utilization
-    if METRICS.enabled and utilization is not None:
-        METRICS.gauge("dispatch.worker_utilization", utilization)
-    LAST_DISPATCH = stats
-    return results
-
-
-def _run_claimed(session, points, seq: int, timed: bool,
-                 want_progress: bool):
-    """Run one claimed seq, record its DONE row, return the payload."""
-    point = points[seq]
-    label = _progress_label(point)
-    if want_progress:
-        PROGRESS.point_started(label)
-    try:
-        result, seconds, verdict = simulate_point_meta(
-            point, session.constants
-        )
-    except (KeyboardInterrupt, SystemExit):
-        # An interrupt is not the point's fault: put the claim back so
-        # a resumed sweep (or a sibling worker) runs it fresh.
-        session.release()
-        raise
-    except BaseException as exc:
-        # Fail the row loudly so sibling workers stop waiting on it
-        # instead of polling a lease that will never resolve.
-        session.fail(seq, f"{type(exc).__name__}: {exc}")
-        raise
-    session.complete(seq, result, wall_seconds=seconds, cache=verdict)
-    if want_progress:
-        PROGRESS.point_finished(label, backend=point.backend)
-    return (result, seconds) if timed else result

@@ -14,7 +14,8 @@ in-context loop, the service queue's worker threads and the
 ``complete`` / ``fail``
     guarded terminal transitions carrying the serialized result (or
     the error) — the durable record other workers and restarted
-    services adopt;
+    services adopt; ``run_claimed`` is the in-process consumers' one
+    step around them: time a claimed point, then complete or fail it;
 ``wait_remaining``
     the one serial consumer loop: claim a row, run it, repeat; when
     nothing is claimable, adopt the DONE results other workers
@@ -38,7 +39,7 @@ import platform
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.ledger import (
     LEDGER,
@@ -48,7 +49,7 @@ from ..obs.ledger import (
     POINT_FAILED,
     RunLedger,
 )
-from ..obs.progress import point_label
+from ..obs.progress import point_label, progress_state
 from ..perf.parallel import JobConstants
 from .codec import encode_points, point_fingerprints
 
@@ -187,6 +188,31 @@ class ClaimSession:
         self._held.discard(seq)
         return won
 
+    def run_claimed(
+        self, seq: int, simulate: Callable[[Any], Tuple[Any, str]]
+    ) -> Tuple[Any, float]:
+        """Run one claimed seq and record its end; (result, seconds).
+
+        ``simulate(point)`` returns the result and its cache verdict.
+        The call is timed, and the DONE row carries the seconds and
+        the verdict.  A point that raises is FAILED, so sibling workers
+        stop waiting on it; an interrupt is not the point's fault, so
+        it hands this session's claims back instead, for a resumed
+        sweep or a sibling to run fresh.
+        """
+        started = time.perf_counter()
+        try:
+            result, verdict = simulate(self._points[seq])
+        except (KeyboardInterrupt, SystemExit):
+            self.release()
+            raise
+        except BaseException as exc:
+            self.fail(seq, f"{type(exc).__name__}: {exc}")
+            raise
+        seconds = time.perf_counter() - started
+        self.complete(seq, result, wall_seconds=seconds, cache=verdict)
+        return result, seconds
+
     def release(self) -> int:
         """Hand this session's unfinished claims back to PENDING."""
         released = self.store.release_points(self.worker_id, self.job_id)
@@ -303,17 +329,16 @@ class ClaimSession:
     def progress_snapshot(
         self, started_at: Optional[float] = None
     ) -> Dict[str, Any]:
-        """A ProgressTracker-shaped snapshot from the claim store.
+        """This job's progress, read from its claim rows.
 
-        Same keys as
-        :meth:`~repro.obs.progress.ProgressTracker.get_current_state`,
-        so clients and renderers work unchanged — but composed from
-        durable rows, which makes it correct across N queue workers,
-        foreign claimers and service restarts.
+        A :func:`~repro.obs.progress.progress_state` snapshot: DONE rows
+        are completed, CLAIMED rows in flight, whichever worker holds
+        them, so it is correct across N queue workers, foreign
+        claimers and service restarts.  ``started_at`` is the
+        wall-clock stamp elapsed time counts from.
         """
         rows = self.store.point_rows(self.job_id)
         completed = sum(1 for r in rows if r["status"] == POINT_DONE)
-        total = max(len(rows), completed)
         in_flight = sorted(
             r["label"] or f"seq {r['seq']}"
             for r in rows if r["status"] == POINT_CLAIMED
@@ -333,22 +358,10 @@ class ClaimSession:
             ):
                 last_stamp = stamp
                 last_point = row.get("label")
-        elapsed = (
-            max(0.0, time.time() - started_at)
-            if started_at is not None else 0.0
+        return progress_state(
+            completed, len(rows), in_flight, started_at, per_backend,
+            last_point,
         )
-        rate = completed / elapsed if elapsed > 0 else 0.0
-        remaining = max(0, total - completed)
-        return {
-            "completed": completed,
-            "total": total,
-            "in_flight": in_flight,
-            "elapsed_seconds": elapsed,
-            "points_per_second": rate,
-            "eta_seconds": remaining / rate if rate > 0 else None,
-            "per_backend": dict(sorted(per_backend.items())),
-            "last_point": last_point,
-        }
 
     # ---- lease heartbeat ----------------------------------------------------
 

@@ -64,7 +64,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.ledger import RunLedger, ledger_to
 from ..obs.metrics import METRICS
-from ..obs.progress import PROGRESS, tracking
 from ..perf.parallel import run_points
 from ..sched import ClaimSession, SweepCancelled
 from .spec import SweepSpec, point_rows, result_row
@@ -148,13 +147,12 @@ class JobQueue:
             if self.ledger_path is not None else None
         )
         self._recovered = False
-        # The ledger/progress global scopes are process-wide; with
-        # N workers they are entered once by the first running job and
-        # left by the last, so one job finishing can never disable
-        # them under a sibling still running.
+        # The ledger scope is process-wide; with N workers it is
+        # entered once by the first running job and left by the last
+        # (:meth:`_ledger_scope`).
         self._scope_lock = threading.Lock()
         self._scope_depth = 0
-        self._scope_cms: list = []
+        self._scope = None
 
     # ---- lifecycle ----------------------------------------------------------
 
@@ -316,10 +314,7 @@ class JobQueue:
 
     def _status_doc(self, job: Job) -> dict:
         """The job's fields (caller holds the lock); ``progress`` is the
-        final snapshot, or the tracker's view of a session-less run."""
-        progress = job.progress
-        if progress is None and job.state == JobState.RUNNING:
-            progress = self._live_progress(job)
+        final snapshot, None before the job's claim session exists."""
         return {
             "job_id": job.job_id,
             "state": job.state,
@@ -336,18 +331,9 @@ class JobQueue:
             "points_total": job.points_total,
             "skipped": [list(pair) for pair in job.skipped],
             "error": job.error,
-            "progress": progress,
+            "progress": job.progress,
             "cache": dict(job.cache_counts),
         }
-
-    def _live_progress(self, job: Job) -> dict:
-        state = PROGRESS.get_current_state()
-        total = max(job.points_total, state["completed"])
-        remaining = max(0, total - state["completed"])
-        rate = state["points_per_second"]
-        state["total"] = total
-        state["eta_seconds"] = remaining / rate if rate > 0 else None
-        return state
 
     def results(self, job_id: str) -> dict:
         """The deterministic results payload of a DONE job.
@@ -462,34 +448,30 @@ class JobQueue:
                 self._persist(job)
 
     @contextmanager
-    def _global_scopes(self):
-        """Process-global ledger/progress scoping, refcounted.
+    def _ledger_scope(self):
+        """Route the process-wide ledger to this queue's, refcounted.
 
-        ``ledger_to`` and ``tracking`` flip process-wide state; with
-        ``workers > 1`` a naive per-job ``with`` would restore it when
-        the *first* job finishes, silently disabling the ledger and
-        tracker under every job still running.  The refcount enters
-        the scopes with the first running job and exits with the last.
+        ``ledger_to`` flips process-wide state; with ``workers > 1`` a
+        naive per-job ``with`` would restore it when the *first* job
+        finishes, silently disabling the ledger under every job still
+        running.  The refcount enters the scope with the first running
+        job and exits with the last.
         """
+        if self.ledger_path is None:
+            yield
+            return
         with self._scope_lock:
             self._scope_depth += 1
             if self._scope_depth == 1:
-                cms = []
-                if self.ledger_path is not None:
-                    cms.append(ledger_to(self.ledger_path))
-                cms.append(tracking())
-                for cm in cms:
-                    cm.__enter__()
-                self._scope_cms = cms
+                self._scope = ledger_to(self.ledger_path)
+                self._scope.__enter__()
         try:
             yield
         finally:
             with self._scope_lock:
                 self._scope_depth -= 1
                 if self._scope_depth == 0:
-                    cms, self._scope_cms = self._scope_cms, []
-                    for cm in reversed(cms):
-                        cm.__exit__(None, None, None)
+                    self._scope.__exit__(None, None, None)
 
     def _session_for(self, job: Job) -> ClaimSession:
         worker_id = (
@@ -522,7 +504,7 @@ class JobQueue:
         snapshot: Optional[dict] = None
         final: Optional[dict] = None
         try:
-            with self._global_scopes():
+            with self._ledger_scope():
                 try:
                     results = run_points(
                         points, jobs=self.jobs, session=session

@@ -1,9 +1,10 @@
 """The repro-experiments CLI: end-of-run summary and stream hygiene."""
 
+import pytest
+
 from repro.harness import experiments, runner
 from repro.machine import MachineParams
 from repro.machine.config import named_config
-from repro.perf import parallel
 
 
 def small_context(**kwargs):
@@ -37,24 +38,64 @@ class TestRunSummary:
         assert "copied points    : 1 " in text
         assert len(ctx.point_seconds) == 2  # the bench still times both
 
-    def test_includes_last_dispatch_when_present(self, monkeypatch):
-        stats = parallel.DispatchStats(points=4, workers=1, mode="serial")
-        monkeypatch.setattr(parallel, "LAST_DISPATCH", stats)
-        text = runner.run_summary(small_context())
-        assert "dispatch         : serial, 1 worker(s), 4 point(s)" in text
+    def test_pool_fallback_counts_its_copies(self, monkeypatch):
+        """A pool that cannot spawn runs the sweep serially, where the
+        S-O-D point copies the S-O machine's result, as in-context."""
+        from repro.perf import parallel
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                raise OSError("no process spawning here")
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", BrokenPool)
+        ctx = small_context(jobs=2)
+        with pytest.warns(RuntimeWarning, match="OSError"):
+            ctx.run_many([("convert", named_config("S-O")),
+                          ("convert", named_config("S-O-D"))])
+        assert (ctx.simulated_points, ctx.copied_points) == (1, 1)
+
+    def test_has_no_dispatch_line(self):
+        """Dispatch is accounted on the claim and ledger rows, not in a
+        process-global summary line."""
+        ctx = small_context(jobs=4)
+        ctx.run_many([("convert", named_config("S"))])
+        text = runner.run_summary(ctx)
+        assert "dispatch" not in text
+        assert "engine core" in text and "run cache" in text
 
     def test_in_context_sweep_records_dispatch_stats(self, monkeypatch):
-        """run_many's serial fast path (one effective worker) still
-        publishes DispatchStats, so 1-CPU hosts get a dispatch line."""
+        """run_many's serial fast path (one effective worker) runs its
+        points as claim rows, which the context's progress view counts."""
         monkeypatch.setattr(
             experiments, "effective_workers", lambda jobs, n: 1
         )
-        monkeypatch.setattr(parallel, "LAST_DISPATCH", None)
         ctx = small_context(jobs=4)
         ctx.run_many([("convert", named_config("S"))])
-        stats = parallel.LAST_DISPATCH
-        assert stats is not None and stats.mode == "in-context"
-        assert stats.points == 1 and stats.workers == 1
+        state = ctx.progress_snapshot()
+        assert (state["completed"], state["total"]) == (1, 1)
+        assert state["per_backend"] == {"grid": 1}
+
+    def test_a_failing_point_leaves_a_failed_row(self, tmp_path,
+                                                 monkeypatch):
+        """The in-context runner fails the row of a point that raises,
+        as run_points does, so sibling workers stop waiting on it."""
+        from repro.obs.ledger import RunLedger, ledger_to
+        from repro.perf.parallel import JobConstants
+
+        def exploding(constants, point, *args, **kwargs):
+            raise RuntimeError(f"{point.kernel}|{point.config.name} broke")
+
+        monkeypatch.setattr(JobConstants, "simulate", exploding)
+        path = str(tmp_path / "ledger.sqlite")
+        with ledger_to(path):
+            with pytest.raises(RuntimeError, match=r"convert\|S broke"):
+                small_context().run_many([("convert", named_config("S"))])
+        store = RunLedger(path)
+        try:
+            assert store.point_counts() == {"failed": 1}
+        finally:
+            store.close()
 
     def test_main_keeps_stdout_deterministic(self, capsys):
         """The summary (timings, hit rates) goes to stderr so stdout

@@ -10,6 +10,7 @@ fuzz corpus and every paper kernel, each side mapping its own window.
 """
 
 import random
+import threading
 
 import numpy
 import pytest
@@ -64,6 +65,27 @@ class TestCoreSelection:
         with using_core("object"):
             assert active_core() == "object"
         assert active_core() == "array"
+
+    def test_using_core_scopes_the_calling_thread_only(self):
+        """A thread pinned to the object core (a service job asking for
+        it) leaves a sibling thread on the array core."""
+        inside, leave, seen = threading.Event(), threading.Event(), {}
+
+        def pinned():
+            with using_core("object"):
+                seen["pinned"] = active_core()
+                inside.set()
+                leave.wait(5.0)
+
+        thread = threading.Thread(target=pinned, daemon=True)
+        thread.start()
+        try:
+            assert inside.wait(5.0)
+            assert active_core() == "array"
+        finally:
+            leave.set()
+            thread.join(5.0)
+        assert seen["pinned"] == "object"
 
     def test_unknown_core_rejected(self):
         with pytest.raises(ValueError, match="unknown engine core"):

@@ -496,7 +496,9 @@ class TestSharedWindowRace:
         results = {}
 
         def run_b():
-            results["b"] = shared.run(kernel, records, config)
+            # using_core scopes the calling thread only: pin B too.
+            with using_core(core):
+                results["b"] = shared.run(kernel, records, config)
 
         other = threading.Thread(target=run_b, daemon=True)
 
@@ -541,8 +543,9 @@ class TestSharedWindowRace:
         results = []
 
         def worker():
-            for point in points:
-                results.append((point, shared.run(*inputs[point])))
+            with using_core("object"):  # scopes this thread only
+                for point in points:
+                    results.append((point, shared.run(*inputs[point])))
 
         threads = [threading.Thread(target=worker, daemon=True)
                    for _ in range(4)]

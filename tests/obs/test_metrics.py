@@ -113,12 +113,12 @@ class TestRegistry:
         """Worker snapshots fold in: totals add, levels take the max."""
         reg = MetricsRegistry()
         reg.inc("l1.hits", 10)
-        reg.gauge("dispatch.worker_utilization", 0.5)
-        reg.merge({"l1.hits": 5.0, "dispatch.worker_utilization": 0.8,
+        reg.gauge("runcache.hit_rate", 0.5)
+        reg.merge({"l1.hits": 5.0, "runcache.hit_rate": 0.8,
                    "net.operand_hops": 7.0})
         snap = reg.snapshot()
         assert snap["l1.hits"] == 15.0
-        assert snap["dispatch.worker_utilization"] == 0.8
+        assert snap["runcache.hit_rate"] == 0.8
         assert snap["net.operand_hops"] == 7.0
 
     def test_reset_clears_everything(self):

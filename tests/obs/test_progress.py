@@ -1,68 +1,139 @@
-"""Live sweep progress: tracker state machine, sweep integration,
-snapshot shape, rendering and the stderr ticker."""
+"""Live sweep progress as a view of the claim rows: the session and
+context snapshots, their clamps, sweep integration, rendering and the
+stderr ticker."""
 
 import io
+import threading
+import time
+import types
 
+import pytest
+
+from repro.harness import experiments
 from repro.machine import MachineConfig, MachineParams
+from repro.obs import progress as progress_mod
+from repro.obs.ledger import RunLedger
 from repro.obs.progress import (
-    PROGRESS,
-    ProgressTracker,
     point_label,
+    progress_state,
     progress_ticker,
     render_state,
-    tracking,
 )
 from repro.perf import SweepPoint, run_points
+from repro.perf import parallel as parallel_mod
+from repro.sched import ClaimSession
 
 
-def sweep(n=2, jobs=1):
+def sample_points(n=2):
     params = MachineParams()
     names = ["convert", "fft", "lu"]
-    points = [
+    return [
         SweepPoint(kernel=names[i % len(names)], config=MachineConfig.S(),
                    params=params, records=8, workload_seed=7)
         for i in range(n)
     ]
-    return run_points(points, jobs=jobs)
+
+
+def memory_session(store=None, **kwargs):
+    return ClaimSession(store or RunLedger(":memory:"), owns_store=True,
+                        **kwargs)
+
+
+def small_context(**kwargs):
+    return experiments.ExperimentContext(
+        params=MachineParams(), records=16, large_kernel_records=16, **kwargs
+    )
+
+
+class InThreadPool:
+    """The pool path without forking: ``map`` yields lazily, as
+    ``ProcessPoolExecutor.map`` does."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return (fn(item) for item in items)
+
+
+@pytest.fixture()
+def pool(monkeypatch):
+    """Route run_points' pool path through :class:`InThreadPool`."""
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", InThreadPool)
+
+
+def frozen_clock(monkeypatch, now):
+    """Pin the clock the progress views read elapsed time from."""
+    monkeypatch.setattr(progress_mod, "time",
+                        types.SimpleNamespace(time=lambda: now))
 
 
 class TestTracker:
+    """The claim rows track a job's progress."""
+
     def test_state_machine(self):
-        tracker = ProgressTracker()
-        tracker.add_total(3)
-        tracker.point_started("grid:a|S")
-        tracker.point_started("grid:b|S")
-        state = tracker.get_current_state()
-        assert state["completed"] == 0 and state["total"] == 3
-        assert state["in_flight"] == ["grid:a|S", "grid:b|S"]
-        tracker.point_finished("grid:a|S", backend="grid")
-        state = tracker.get_current_state()
-        assert state["completed"] == 1
-        assert state["in_flight"] == ["grid:b|S"]
-        assert state["per_backend"] == {"grid": 1}
-        assert state["last_point"] == "grid:a|S"
+        session = memory_session()
+        try:
+            points = session.enqueue(sample_points(3))
+            claimed = session.claim(limit=2)
+            state = session.progress_snapshot()
+            assert state["completed"] == 0 and state["total"] == 3
+            assert state["in_flight"] == ["grid:convert|S", "grid:fft|S"]
+            session.complete(claimed[0], parallel_mod.simulate_point(
+                points[claimed[0]]))
+            state = session.progress_snapshot()
+            assert state["completed"] == 1
+            assert state["in_flight"] == ["grid:fft|S"]
+            assert state["per_backend"] == {"grid": 1}
+            assert state["last_point"] == "grid:convert|S"
+        finally:
+            session.close()
 
     def test_finish_tolerates_missing_start(self):
-        tracker = ProgressTracker()
-        tracker.add_total(1)
-        tracker.point_finished("grid:x|S")
-        assert tracker.get_current_state()["completed"] == 1
+        """A point another worker ran, which this session never claimed,
+        counts as completed all the same."""
+        store = RunLedger(":memory:")
+        mine = memory_session(store, job_id="job")
+        other = ClaimSession(store, job_id="job", worker_id="other")
+        try:
+            points = mine.enqueue(sample_points(1))
+            other.enqueue(points)
+            (seq,) = other.claim()
+            other.complete(seq, parallel_mod.simulate_point(points[seq]))
+            state = mine.progress_snapshot()
+            assert state["completed"] == 1 and state["total"] == 1
+        finally:
+            other.close()
+            mine.close()
 
     def test_eta_appears_once_rate_is_known(self):
-        tracker = ProgressTracker()
-        tracker.add_total(2)
-        assert tracker.get_current_state()["eta_seconds"] is None
-        tracker.point_finished("grid:x|S")
-        state = tracker.get_current_state()
-        assert state["points_per_second"] > 0
-        assert state["eta_seconds"] is not None and state["eta_seconds"] >= 0
+        session = memory_session()
+        try:
+            session.enqueue(sample_points(2))
+            started = time.time() - 1.0
+            assert session.progress_snapshot(started)["eta_seconds"] is None
+            seq = session.claim(limit=1)[0]
+            session.run_claimed(seq, lambda point: (
+                parallel_mod.simulate_point(point), "uncached"))
+            state = session.progress_snapshot(started)
+            assert state["points_per_second"] > 0
+            assert state["eta_seconds"] is not None
+            assert state["eta_seconds"] >= 0
+        finally:
+            session.close()
 
     def test_reset_forgets_everything(self):
-        tracker = ProgressTracker()
-        tracker.add_total(5)
-        tracker.point_finished("grid:x|S", backend="grid")
-        tracker.reset()
-        state = tracker.get_current_state()
+        """Each context starts from zero: no progress is process-global,
+        so another context's sweep never shows in a fresh one."""
+        small_context().run_many([("convert", MachineConfig.S())])
+        state = small_context().progress_snapshot()
         assert state["completed"] == 0 and state["total"] == 0
         assert state["per_backend"] == {} and state["last_point"] is None
 
@@ -71,9 +142,9 @@ class TestTracker:
 
 
 class TestSnapshotEdges:
-    """Regressions for the ETA/rate clamps: no publication order may
-    yield a negative remaining count, an infinite rate or a negative
-    ETA (the service serves these snapshots verbatim)."""
+    """The ETA/rate clamps of both views: no snapshot may have a
+    negative elapsed time or remaining count, an infinite rate or a
+    negative ETA (the service serves these snapshots verbatim)."""
 
     def assert_sane(self, state):
         assert state["elapsed_seconds"] >= 0.0
@@ -83,124 +154,242 @@ class TestSnapshotEdges:
             assert state["eta_seconds"] >= 0.0
 
     def test_finish_before_any_start_starts_the_clock(self):
-        tracker = ProgressTracker()
-        tracker.point_finished("grid:x|S", backend="grid")
-        state = tracker.get_current_state()
+        """The context's clock starts with its first sweep: before it the
+        view reads no time and no rate, after it a real rate."""
+        ctx = small_context()
+        state = ctx.progress_snapshot()
+        self.assert_sane(state)
+        assert state["elapsed_seconds"] == 0.0
+        assert state["points_per_second"] == 0.0
+        ctx.run_many([("convert", MachineConfig.S())])
+        state = ctx.progress_snapshot()
         self.assert_sane(state)
         assert state["completed"] == 1
-        # the finish started the clock, so the rate is real, not 0.0/s
         assert state["points_per_second"] > 0
 
     def test_zero_elapsed_first_snapshot_has_no_inf_rate(self, monkeypatch):
-        """A coarse clock can return the same stamp twice; the rate
-        must degrade to 0.0 (and ETA to None), never ZeroDivisionError
-        or inf."""
-        import repro.obs.progress as progress_mod
-
-        monkeypatch.setattr(progress_mod, "perf_counter", lambda: 1000.0)
-        tracker = ProgressTracker()
-        tracker.add_total(2)
-        tracker.point_finished("grid:x|S")
-        state = tracker.get_current_state()
-        assert state["elapsed_seconds"] == 0.0
-        assert state["points_per_second"] == 0.0
-        assert state["eta_seconds"] is None
+        """A coarse clock can return the start stamp again; the rate must
+        degrade to 0.0 (and the ETA to None), never ZeroDivisionError or
+        inf — in the session view and the context view alike."""
+        ctx = small_context()
+        ctx.run_many([("convert", MachineConfig.S())])
+        session = memory_session()
+        try:
+            points = session.enqueue(sample_points(2))
+            (seq,) = session.claim(limit=1)
+            session.complete(seq, parallel_mod.simulate_point(points[seq]))
+            frozen_clock(monkeypatch, 1000.0)
+            ctx._progress_started = 1000.0
+            for state in (session.progress_snapshot(1000.0),
+                          ctx.progress_snapshot()):
+                self.assert_sane(state)
+                assert state["completed"] == 1
+                assert state["elapsed_seconds"] == 0.0
+                assert state["points_per_second"] == 0.0
+                assert state["eta_seconds"] is None
+        finally:
+            session.close()
 
     def test_clock_going_backwards_clamps_elapsed(self, monkeypatch):
-        import repro.obs.progress as progress_mod
-
-        stamps = iter([1000.0, 999.5])  # start, then snapshot earlier
-        monkeypatch.setattr(
-            progress_mod, "perf_counter", lambda: next(stamps)
-        )
-        tracker = ProgressTracker()
-        tracker.add_total(1)
-        self.assert_sane(tracker.get_current_state())
+        """A start stamp ahead of the clock reads as zero elapsed."""
+        ctx = small_context()
+        ctx.run_many([("convert", MachineConfig.S())])
+        session = memory_session()
+        try:
+            session.enqueue(sample_points(1))
+            frozen_clock(monkeypatch, 999.5)
+            ctx._progress_started = 1000.0
+            for state in (session.progress_snapshot(1000.0),
+                          ctx.progress_snapshot()):
+                self.assert_sane(state)
+                assert state["elapsed_seconds"] == 0.0
+        finally:
+            session.close()
 
     def test_replayed_finishes_overtaking_total_clamp(self):
-        """An identical-job resubmission replays finishes without
-        announcing totals first: completed may overtake total, which
-        must clamp (total rises, remaining pins at 0) instead of going
-        negative."""
-        tracker = ProgressTracker()
-        tracker.add_total(1)
-        for i in range(3):
-            tracker.point_finished(f"grid:k{i}|S", backend="grid")
-        state = tracker.get_current_state()
+        """Completions overtaking the total clamp the total up (and the
+        remaining count at 0) instead of going negative."""
+        state = progress_state(3, 1, [], time.time() - 1.0, {"grid": 3})
         self.assert_sane(state)
         assert state["completed"] == 3
         assert state["total"] == 3
         assert state["eta_seconds"] == 0.0
 
     def test_render_survives_every_edge_state(self):
-        tracker = ProgressTracker()
-        assert "0/0 points" in render_state(tracker.get_current_state())
-        tracker.point_finished("grid:x|S")
-        assert "1/1 points" in render_state(tracker.get_current_state())
+        ctx = small_context()
+        assert "0/0 points" in render_state(ctx.progress_snapshot())
+        ctx.run_many([("convert", MachineConfig.S())])
+        assert "1/1 points" in render_state(ctx.progress_snapshot())
 
 
 class TestSweepIntegration:
     def test_serial_sweep_publishes_counts(self):
-        with tracking() as progress:
-            sweep(3, jobs=1)
-            state = progress.get_current_state()
+        session = memory_session()
+        try:
+            run_points(sample_points(3), jobs=1, session=session)
+            state = session.progress_snapshot()
+        finally:
+            session.close()
         assert state["completed"] == 3 and state["total"] == 3
         assert state["in_flight"] == []
         assert state["per_backend"] == {"grid": 3}
 
-    def test_mid_sweep_state_shows_in_flight(self):
+    def test_mid_sweep_state_shows_in_flight(self, monkeypatch):
         """While a point runs, the snapshot reports it in flight."""
+        session = memory_session()
         observed = {}
+        simulate = parallel_mod.simulate_point
 
-        with tracking() as progress:
-            progress.add_total(2)
-            progress.point_started("grid:convert|S")
-            observed.update(progress.get_current_state())
-            progress.point_finished("grid:convert|S", backend="grid")
+        def spying(point):
+            observed.update(session.progress_snapshot())
+            return simulate(point)
+
+        monkeypatch.setattr(parallel_mod, "simulate_point", spying)
+        try:
+            run_points(sample_points(1), jobs=1, session=session)
+        finally:
+            session.close()
         assert observed["completed"] == 0
         assert observed["in_flight"] == ["grid:convert|S"]
 
-    def test_pool_sweep_matches_serial_totals(self):
-        with tracking() as progress:
-            sweep(3, jobs=2)
-            state = progress.get_current_state()
+    def test_pool_sweep_matches_serial_totals(self, pool):
+        session = memory_session()
+        try:
+            run_points(sample_points(3), jobs=2, session=session)
+            state = session.progress_snapshot()
+        finally:
+            session.close()
         assert state["completed"] == 3 and state["total"] == 3
 
-    def test_disabled_by_default(self):
-        assert not PROGRESS.enabled
-        PROGRESS.reset()  # previous scopes leave their final state readable
-        sweep(1)
-        assert PROGRESS.get_current_state()["total"] == 0
+    def test_disabled_by_default(self, monkeypatch):
+        """A sweep nobody watches reads no claim rows: the context's
+        view reads the store only when asked."""
+        reads = []
+        point_rows = RunLedger.point_rows
+
+        def counting(store, *args, **kwargs):
+            reads.append(args)
+            return point_rows(store, *args, **kwargs)
+
+        monkeypatch.setattr(RunLedger, "point_rows", counting)
+        ctx = small_context()
+        ctx.run_many([("convert", MachineConfig.S()),
+                      ("fft", MachineConfig.S())])
+        assert reads == []
+        assert ctx.progress_snapshot()["completed"] == 2
 
     def test_tracking_restores_enabled_flag(self):
-        with tracking():
-            assert PROGRESS.enabled
-            with tracking(reset=False):
-                assert PROGRESS.enabled
-            assert PROGRESS.enabled
-        assert not PROGRESS.enabled
+        """A sweep leaves the live view when it ends: its session is
+        closed and detached, and its points count as finished."""
+        ctx = small_context()
+        ctx.run_many([("convert", MachineConfig.S())])
+        assert ctx._session is None
+        state = ctx.progress_snapshot()
+        assert state["in_flight"] == [] and state["completed"] == 1
+
+
+class TestContextProgress:
+    """``ExperimentContext.progress_snapshot`` adds up the context's
+    sweeps, whichever path ran them."""
+
+    @pytest.mark.parametrize("path", ["in-context", "pool"])
+    def test_adds_up_across_sweeps(self, path, request):
+        jobs = 1
+        if path == "pool":
+            request.getfixturevalue("pool")
+            jobs = 3
+        ctx = small_context(jobs=jobs)
+        ctx.run_many([("convert", MachineConfig.S()),
+                      ("fft", MachineConfig.S())])
+        state = ctx.progress_snapshot()
+        assert (state["completed"], state["total"]) == (2, 2)
+        ctx.run_many([("convert", MachineConfig.S()),  # a cache hit
+                      ("convert", MachineConfig.baseline()),
+                      ("fft", MachineConfig.baseline()),
+                      ("lu", MachineConfig.baseline())])
+        state = ctx.progress_snapshot()
+        assert (state["completed"], state["total"]) == (5, 5)
+        assert state["per_backend"] == {"grid": 5}
+        assert state["in_flight"] == []
+
+    def test_a_tick_racing_the_close_neither_raises_nor_double_counts(
+        self, monkeypatch
+    ):
+        """Ticks taken while a ``:memory:`` session closes (a closed
+        store raises on use) read each point once."""
+        ctx = small_context()
+        ticks = []
+        close = ClaimSession.close
+
+        def ticking_close(session, *args, **kwargs):
+            ticks.append(ctx.progress_snapshot())
+            close(session, *args, **kwargs)
+            ticks.append(ctx.progress_snapshot())
+
+        monkeypatch.setattr(ClaimSession, "close", ticking_close)
+        ctx.run_many([("convert", MachineConfig.S()),
+                      ("fft", MachineConfig.S())])
+        assert [(t["completed"], t["total"]) for t in ticks] == [(2, 2)] * 2
+
+    def test_ticks_from_another_thread_stay_consistent(self):
+        ctx = small_context()
+        stop = threading.Event()
+        ticks, errors = [], []
+
+        def tick():
+            while not stop.is_set():
+                try:
+                    ticks.append(ctx.progress_snapshot())
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+                time.sleep(0.001)
+
+        thread = threading.Thread(target=tick, daemon=True)
+        thread.start()
+        try:
+            for config in (MachineConfig.S(), MachineConfig.baseline(),
+                           MachineConfig.S_O()):
+                ctx.run_many([("convert", config), ("fft", config)])
+        finally:
+            stop.set()
+            thread.join(5.0)
+        assert errors == []
+        done = [t["completed"] for t in ticks]
+        assert done == sorted(done)
+        assert all(t["completed"] <= t["total"] <= 6 for t in ticks)
+        assert ctx.progress_snapshot()["completed"] == 6
+
+    def test_a_failed_sweep_adds_to_the_total_only(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulator exploded")
+
+        ctx = small_context()
+        ctx.run_many([("convert", MachineConfig.S())])
+        monkeypatch.setattr(parallel_mod.JobConstants, "simulate", broken)
+        with pytest.raises(RuntimeError, match="exploded"):
+            ctx.run_many([("fft", MachineConfig.S())])
+        state = ctx.progress_snapshot()
+        assert (state["completed"], state["total"]) == (1, 2)
 
 
 class TestRendering:
     def test_render_state_mentions_counts_and_inflight(self):
-        tracker = ProgressTracker()
-        tracker.add_total(4)
-        tracker.point_finished("grid:a|S", backend="grid")
-        tracker.point_started("grid:b|S")
-        line = render_state(tracker.get_current_state())
+        state = progress_state(1, 4, ["grid:b|S"], None, {"grid": 1})
+        line = render_state(state)
         assert "1/4 points" in line
         assert "in flight: grid:b|S" in line
 
     def test_render_state_truncates_long_inflight_lists(self):
-        tracker = ProgressTracker()
-        tracker.add_total(9)
-        for i in range(5):
-            tracker.point_started(f"grid:k{i}|S")
-        assert "+2 more" in render_state(tracker.get_current_state())
+        state = progress_state(
+            0, 9, [f"grid:k{i}|S" for i in range(5)], None, {}
+        )
+        assert "+2 more" in render_state(state)
 
     def test_ticker_prints_final_line(self):
         stream = io.StringIO()
-        with progress_ticker(interval=30.0, stream=stream):
-            sweep(2, jobs=1)
-        output = stream.getvalue()
-        assert "progress: 2/2 points" in output
+        ctx = small_context()
+        with progress_ticker(ctx.progress_snapshot, interval=30.0,
+                             stream=stream):
+            ctx.run_many([("convert", MachineConfig.S()),
+                          ("fft", MachineConfig.S())])
+        assert "progress: 2/2 points" in stream.getvalue()

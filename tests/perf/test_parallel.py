@@ -160,7 +160,8 @@ class TestAdaptiveDispatch:
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BrokenPool)
-        results = run_points(sample_points(), jobs=3)
+        with pytest.warns(RuntimeWarning, match="OSError"):
+            results = run_points(sample_points(), jobs=3)
         assert [r.kernel for r in results] == ["fft", "lu", "convert"]
 
     def test_dying_workers_fall_back_to_serial(self, monkeypatch):
@@ -184,8 +185,10 @@ class TestAdaptiveDispatch:
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", DyingPool)
         points = sample_points()
-        results = run_points(points, jobs=3)
-        assert parallel_mod.LAST_DISPATCH.mode == "pool-fallback"
+        with pytest.warns(RuntimeWarning) as caught:
+            results = run_points(points, jobs=3)
+        (warning,) = caught
+        assert "BrokenProcessPool: worker died" in str(warning.message)
         assert results == run_points(points, jobs=1)
 
 
@@ -221,12 +224,9 @@ class TestSerialParallelIdentity:
 
         points = sample_points()
         serial = run_points(points, jobs=1)
-        assert parallel_mod.LAST_DISPATCH.points == len(points)
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", FakePool)
         pooled = run_points(points, jobs=3)
-        assert parallel_mod.LAST_DISPATCH.mode == "pool"
-        assert parallel_mod.LAST_DISPATCH.points == len(points)
         assert pooled == serial
         assert [r.kernel for r in pooled] == [p.kernel for p in points]
         # Identical results under identical fingerprints: the sweep's
@@ -314,42 +314,86 @@ class TestWorkerDiskCache:
         assert no_disk._point("fft", MachineConfig.S()).cache_dir is None
 
 
+class InThreadPool:
+    """The pool path without forking: ``map`` yields lazily, as
+    ``ProcessPoolExecutor.map`` does; ``before_yield(k)`` runs before
+    the ``k``-th result is handed over."""
+
+    before_yield = staticmethod(lambda k: None)
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        for k, item in enumerate(items):
+            payload = fn(item)
+            self.before_yield(k)
+            yield payload
+
+
+def done_rows(session):
+    return [row for row in session.store.point_rows(session.job_id)
+            if row["status"] == "done"]
+
+
 class TestDispatchStats:
+    """Dispatch is accounted on the claim rows: each DONE row carries
+    its point's wall seconds and cache verdict, whichever path ran it."""
+
+    @staticmethod
+    def _session():
+        from repro.obs.ledger import RunLedger
+        from repro.sched import ClaimSession
+
+        return ClaimSession(RunLedger(":memory:"), owns_store=True)
+
     def test_serial_dispatch_recorded(self):
-        run_points(sample_points(), jobs=1, timed=True)
-        dispatch = parallel_mod.LAST_DISPATCH
-        assert dispatch is not None
-        assert dispatch.mode == "serial"
-        assert dispatch.workers == 1
-        assert dispatch.points == 3
-        assert dispatch.busy_seconds > 0.0
-        assert dispatch.wall_seconds >= dispatch.busy_seconds
-        assert 0.0 < dispatch.utilization <= 1.0
+        session = self._session()
+        try:
+            timed = run_points(sample_points(), jobs=1, timed=True,
+                               session=session)
+            rows = sorted(done_rows(session), key=lambda r: r["seq"])
+        finally:
+            session.close()
+        assert len(rows) == 3
+        assert [r["wall_seconds"] for r in rows] == \
+            [seconds for _, seconds in timed]
+        assert all(r["wall_seconds"] > 0.0 for r in rows)
+        assert [r["cache"] for r in rows] == ["uncached"] * 3
 
     def test_untimed_dispatch_has_no_utilization(self):
-        run_points(sample_points()[:1], jobs=1)
-        assert parallel_mod.LAST_DISPATCH.utilization is None
+        """An untimed sweep returns bare results; its rows still carry
+        the seconds."""
+        session = self._session()
+        try:
+            (result,) = run_points(sample_points()[:1], jobs=1,
+                                   session=session)
+            (row,) = done_rows(session)
+        finally:
+            session.close()
+        assert result.kernel == "fft"
+        assert row["wall_seconds"] > 0.0
 
     def test_pool_dispatch_recorded(self, monkeypatch):
-        class FakePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return [fn(item) for item in items]
-
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", FakePool)
-        run_points(sample_points(), jobs=3)
-        dispatch = parallel_mod.LAST_DISPATCH
-        assert dispatch.mode == "pool"
-        assert dispatch.workers == 3
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
+                            InThreadPool)
+        session = self._session()
+        try:
+            timed = run_points(sample_points(), jobs=3, timed=True,
+                               session=session)
+            rows = sorted(done_rows(session), key=lambda r: r["seq"])
+        finally:
+            session.close()
+        assert [r["wall_seconds"] for r in rows] == \
+            [seconds for _, seconds in timed]
+        assert [r["cache"] for r in rows] == ["uncached"] * 3
 
     def test_pool_fallback_recorded(self, monkeypatch):
         class BrokenPool:
@@ -358,9 +402,63 @@ class TestDispatchStats:
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BrokenPool)
-        run_points(sample_points(), jobs=3)
-        assert parallel_mod.LAST_DISPATCH.mode == "pool-fallback"
-        assert parallel_mod.LAST_DISPATCH.workers == 1
+        with pytest.warns(RuntimeWarning) as caught:
+            run_points(sample_points(), jobs=3)
+        (warning,) = caught
+        assert "OSError: no process spawning here" in str(warning.message)
+
+
+class TestLivePoolProgress:
+    def test_rows_complete_while_the_pool_still_yields(self, monkeypatch):
+        """Each pool result's row is DONE as the result lands, so the
+        session's progress advances mid-map."""
+        session = TestDispatchStats._session()
+        seen = []
+
+        class WatchedPool(InThreadPool):
+            before_yield = staticmethod(
+                lambda k: seen.append(len(done_rows(session)))
+            )
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", WatchedPool)
+        try:
+            run_points(sample_points(), jobs=3, session=session)
+            assert len(done_rows(session)) == 3
+        finally:
+            session.close()
+        assert seen == [0, 1, 2]
+
+    def test_dying_pool_keeps_the_rows_it_completed(self, monkeypatch):
+        """Workers that die mid-map leave their finished rows DONE; only
+        the rest go back to the serial loop."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        def die_after_one(k):
+            if k == 1:
+                raise BrokenProcessPool("worker died")
+
+        class DyingPool(InThreadPool):
+            before_yield = staticmethod(die_after_one)
+
+        ran = []
+        simulate = parallel_mod.simulate_point
+
+        def spying(point):
+            ran.append(point.kernel)
+            return simulate(point)
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(parallel_mod, "simulate_point", spying)
+        points = sample_points()
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+            results = run_points(points, jobs=3)
+        # The first point landed and is not run again; the second was
+        # lost with the pool, so the serial loop runs it and the third.
+        assert len(ran) == 4
+        assert ran.count(ran[0]) == 1 and ran.count(ran[1]) == 2
+        assert results == run_points(points, jobs=1)
 
 
 class TestWorkerPhaseAggregation:

@@ -257,6 +257,46 @@ class TestCacheAccounting:
         assert len(mapped) == 4  # every job ran through the pool path
 
 
+class TestSiblingProgress:
+    def test_a_job_that_has_run_nothing_reports_no_progress(
+        self, tmp_path, monkeypatch
+    ):
+        """A RUNNING job whose claim session does not exist yet reports
+        ``progress: null``, as a QUEUED job does, never the counts of a
+        sibling job completing points next to it."""
+        entered, release = threading.Event(), threading.Event()
+        build_points = SweepSpec.build_points
+
+        def held(spec, *args, **kwargs):
+            if spec.tag == "held":
+                entered.set()
+                release.wait(30.0)
+            return build_points(spec, *args, **kwargs)
+
+        monkeypatch.setattr(SweepSpec, "build_points", held)
+        q = JobQueue(
+            cache_dir=str(tmp_path / "cache"),
+            ledger_path=str(tmp_path / "service_ledger.sqlite"),
+            workers=2,
+        ).start()
+        try:
+            held_job = q.submit(small_spec(kernels=["dct"], tag="held"))
+            assert entered.wait(30.0)
+            sibling = q.submit(small_spec(configs=["baseline", "S"]))
+            assert wait_terminal(q, sibling.job_id).state == JobState.DONE
+            assert q.status(sibling.job_id)["progress"]["completed"] == 2
+            status = q.status(held_job.job_id)
+            assert status["state"] == JobState.RUNNING
+            assert status["progress"] is None
+            release.set()
+            held_job = wait_terminal(q, held_job.job_id)
+            assert held_job.state == JobState.DONE
+            assert q.status(held_job.job_id)["progress"]["completed"] == 1
+        finally:
+            release.set()
+            q.shutdown(wait=True, timeout=30.0)
+
+
 class BlockingStore(RunLedger):
     """An in-memory claim store whose ``point_rows`` waits on an event."""
 
