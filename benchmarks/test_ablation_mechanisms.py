@@ -8,8 +8,6 @@ implies: adding a mechanism a kernel needs never hurts, and the best
 lattice point for each kernel is (one of) its Table 5 preferences.
 """
 
-import os
-
 import pytest
 
 from repro.harness.experiments import ExperimentContext
@@ -24,12 +22,7 @@ REPRESENTATIVES = {
     "vertex-skinning": ("M-D",),
 }
 
-#: Worker processes for the lattice sweep (serial by default; results
-#: are identical either way).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-
-def run_lattice(jobs=JOBS):
+def run_lattice():
     processor = GridProcessor()
     table5 = {
         c.name: c for c in
@@ -38,7 +31,7 @@ def run_lattice(jobs=JOBS):
     }
     # Enough records for SIMD mapping setup to amortize (the regime the
     # paper measures).  Every supported (kernel, config) lattice point is
-    # an independent SweepPoint, fanned out by run_points.
+    # an independent SweepPoint of one run_points sweep.
     requests = []
     for name in REPRESENTATIVES:
         kernel = spec(name).kernel()
@@ -55,8 +48,7 @@ def run_lattice(jobs=JOBS):
         for name, _, config in requests
     ]
     results = {}
-    for (name, label, _), result in zip(requests, run_points(points,
-                                                             jobs=jobs)):
+    for (name, label, _), result in zip(requests, run_points(points)):
         results.setdefault(name, {})[label] = result
     return results
 

@@ -7,14 +7,8 @@ broadcast cost and streaming-channel bandwidth.  Each sweep asserts the
 physically-sensible monotonic trend.
 """
 
-import os
-
 from repro.machine import MachineConfig, MachineParams
 from repro.perf import SweepPoint, run_points
-
-#: Worker processes for the sweeps (serial by default; results are
-#: identical either way).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def sweep(kernel_name, config, param_values, records=256):
@@ -23,7 +17,7 @@ def sweep(kernel_name, config, param_values, records=256):
                    records=records)
         for params in param_values
     ]
-    return [result.cycles for result in run_points(points, jobs=JOBS)]
+    return [result.cycles for result in run_points(points)]
 
 
 def test_grid_size_scaling(one_shot):

@@ -9,8 +9,8 @@ so every cross-cutting layer is mode-agnostic:
 
 * content-addressed run caching (:mod:`repro.perf`) folds the backend
   identity into each fingerprint;
-* parallel sweeps (:func:`repro.perf.parallel.run_points`) carry a
-  backend per point, so non-grid sweeps fan out and cache;
+* sweeps (:func:`repro.perf.parallel.run_points`) carry a backend per
+  point, so non-grid sweeps shard across claim rows and cache;
 * the experiment harness (:mod:`repro.harness.experiments`) routes
   ``run``/``run_many``/``supports`` through the registry and exposes
   ``--backend`` on the CLIs;

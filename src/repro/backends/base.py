@@ -12,7 +12,7 @@ module defines the one contract all of them sit behind:
 * :func:`dispatch` — the single choke point every cross-cutting layer
   calls: it runs a point on a backend and tags the metrics registry and
   trace recorder with the backend identity, so caching
-  (:mod:`repro.perf`), fan-out, observability (:mod:`repro.obs`) and
+  (:mod:`repro.perf`), sharding, observability (:mod:`repro.obs`) and
   differential checking (:mod:`repro.check`) stay mode-agnostic.
 
 Backends stamp ``RunResult.detail["backend"]`` with their name (each

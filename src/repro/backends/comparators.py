@@ -5,7 +5,7 @@ Section 3's measured trio — the lock-step SIMD array
 (:mod:`repro.vectorsim`) and Section 4.5's superscalar port of the
 mechanisms (:mod:`repro.superscalar`) — each wrapped behind the
 :class:`~repro.backends.base.Backend` protocol so they get run caching,
-parallel fan-out, observability tagging and differential checking for
+claim-row sharding, observability tagging and differential checking for
 free.
 
 Two deliberate conventions:

@@ -4,7 +4,7 @@ Every execution model the repo can time a kernel on registers here by
 name; the cross-cutting layers (experiment harness, sweep workers,
 CLIs, fuzz modes) resolve backends exclusively through this table, so
 adding a sixth model is one :func:`register` call — it inherits run
-caching, parallel fan-out, observability tagging and differential
+caching, claim-row sharding, observability tagging and differential
 checking without touching any of those layers.
 
 Backends are stateless (their comparator parameters are frozen

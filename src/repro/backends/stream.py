@@ -5,7 +5,7 @@ main-memory record stream with double-buffered DMA staging through the
 SMC banks; this adapter folds its richer
 :class:`~repro.stream.driver.StreamRunResult` into the common
 :class:`~repro.machine.stats.RunResult` shape (the DMA accounting lands
-in ``detail``) so streamed runs cache, fan out and fuzz exactly like
+in ``detail``) so streamed runs cache, shard and fuzz exactly like
 every other backend's.
 """
 

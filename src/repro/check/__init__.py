@@ -10,8 +10,9 @@ Three pillars (DESIGN.md section 8):
   configuration with the sanitizer on, shrinking failures to minimal
   reproducers in a replayable corpus;
 * :mod:`repro.check.faults` — fault injection (:class:`FaultPlan`) for
-  the perf layer: corrupt/truncated disk-cache entries, worker-process
-  death, mid-sweep interrupts — verifying graceful degradation.
+  the perf layer: corrupt/truncated disk-cache entries, a worker that
+  dies holding claims, mid-sweep interrupts — verifying graceful
+  degradation.
 
 Only the sanitizer is imported eagerly: it must stay importable from
 ``repro.memory`` / ``repro.machine`` hot paths, while the fuzz and

@@ -11,8 +11,8 @@ Four subcommands, all exiting non-zero when something is wrong:
   ``--cross-backend`` each case instead runs across every registered
   simulation backend (grid, simd, vector, superscalar, stream).
 * ``replay`` — re-check every corpus reproducer (regression replay).
-* ``faults`` — the fault-injection suite: corrupted cache entries,
-  dying worker pools, mid-sweep interrupts.
+* ``faults`` — the fault-injection suite: corrupted cache entries, a
+  worker that dies holding claims, mid-sweep interrupts.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _cmd_replay(args) -> int:
 def _cmd_faults(args) -> int:
     from .faults import run_fault_suite
 
-    checks = run_fault_suite(jobs=args.jobs)
+    checks = run_fault_suite()
     for check in checks:
         print(f"  {check.render()}", file=sys.stderr)
     failed = [c for c in checks if not c.passed]
@@ -176,9 +176,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay.set_defaults(fn=_cmd_replay)
 
     faults = sub.add_parser(
-        "faults", help="fault-injection suite (cache, pool, interrupt)")
-    faults.add_argument("--jobs", type=int, default=4,
-                        help="worker count for the pool drill (default 4)")
+        "faults",
+        help="fault-injection suite (cache, dead worker, interrupt)")
     faults.set_defaults(fn=_cmd_faults)
 
     args = parser.parse_args(argv)

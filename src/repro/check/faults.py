@@ -1,16 +1,16 @@
 """Fault injection: the performance layer under deliberate damage.
 
-The run cache and the parallel dispatcher both promise *graceful
-degradation* — a corrupt disk entry is a miss, a broken worker pool
-falls back to the serial loop, an interrupt propagates promptly and
-never leaves a torn cache file behind.  This module makes those promises
-testable:
+The run cache and the claim scheduler both promise *graceful
+degradation* — a corrupt disk entry is a miss, a dead worker's claimed
+rows come back to a live one when their leases expire, an interrupt
+propagates promptly and never leaves a torn cache file behind.  This
+module makes those promises testable:
 
 * :func:`inject_cache_faults` mutates on-disk :class:`~repro.perf.cache.
   RunCache` entries per a :class:`FaultPlan` — random bytes, truncation,
   schema/field mismatches, non-dict JSON documents;
 * :func:`run_fault_suite` runs three end-to-end scenarios (corrupted
-  cache, dying worker pool, mid-sweep KeyboardInterrupt) and reports a
+  cache, dead worker, mid-sweep KeyboardInterrupt) and reports a
   :class:`FaultCheck` verdict for each — pristine-identical results or
   a clean propagation, never wrong answers.
 """
@@ -22,7 +22,6 @@ import itertools
 import json
 import random
 import tempfile
-import warnings
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
@@ -113,7 +112,7 @@ def check_cache_corruption(plan: Optional[FaultPlan] = None) -> FaultCheck:
 
     with tempfile.TemporaryDirectory() as tmp:
         points = _sample_points(tmp)
-        pristine = [simulate_point(p) for p in points]
+        pristine = [simulate_point(p)[0] for p in points]
         files = _cache_files(tmp)
         if not files:
             return FaultCheck("cache-corruption", False,
@@ -125,7 +124,7 @@ def check_cache_corruption(plan: Optional[FaultPlan] = None) -> FaultCheck:
         # Fresh RunCache instances per call (simulate_point constructs
         # its own), so damaged files must degrade to misses and the
         # points re-simulate to pristine-identical results.
-        damaged = [simulate_point(p) for p in points]
+        damaged = [simulate_point(p)[0] for p in points]
         if damaged != pristine:
             return FaultCheck("cache-corruption", False,
                               "results diverged after cache damage")
@@ -138,64 +137,60 @@ def check_cache_corruption(plan: Optional[FaultPlan] = None) -> FaultCheck:
         )
 
 
-def check_worker_failure(jobs: int = 4) -> FaultCheck:
-    """A pool whose workers die must fall back to the serial loop."""
-    from concurrent.futures.process import BrokenProcessPool
+_DEAD_LEASE_SECONDS = 0.2
 
-    from ..perf import parallel
 
-    class DyingPool:
-        """Stands in for ProcessPoolExecutor; every map breaks."""
+def check_dead_worker() -> FaultCheck:
+    """A worker that dies holding claims: a live one reclaims the rows.
 
-        def __init__(self, max_workers=None):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            raise BrokenProcessPool("worker died during fault drill")
+    One session on a shared store claims every row of a job under a
+    short lease, then closes without a heartbeat or a release, as a
+    killed ``repro-worker`` leaves its rows.  A second session on the
+    same store and job must reclaim each row once its lease expires and
+    finish with the results of a fresh run.
+    """
+    from ..obs.ledger import POINT_DONE, RunLedger
+    from ..perf.parallel import run_points
+    from ..sched import ClaimSession
 
     points = _sample_points(None)
-    serial = parallel.run_points(points, jobs=1)
-    original = parallel.ProcessPoolExecutor
-    original_cpus = parallel.os.cpu_count
-    parallel.ProcessPoolExecutor = DyingPool
-    # Single-CPU hosts clamp to one worker and never try the pool; the
-    # drill needs the pool path, so pin a multi-CPU view for its scope.
-    parallel.os.cpu_count = lambda: max(jobs, 2)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            degraded = parallel.run_points(points, jobs=jobs)
-    except BrokenProcessPool:
-        return FaultCheck("worker-failure", False,
-                          "BrokenProcessPool leaked out of run_points")
-    finally:
-        parallel.ProcessPoolExecutor = original
-        parallel.os.cpu_count = original_cpus
-    fallbacks = [
-        str(w.message) for w in caught
-        if issubclass(w.category, RuntimeWarning)
-        and "BrokenProcessPool" in str(w.message)
+    expected = run_points(points)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "claims.sqlite")
+        dead = ClaimSession(RunLedger(path), job_id="drill",
+                            worker_id="dead",
+                            lease_seconds=_DEAD_LEASE_SECONDS,
+                            owns_store=True)
+        dead.enqueue(points)
+        claimed = dead.claim()
+        dead.close(release=False)
+        live = ClaimSession(RunLedger(path), job_id="drill",
+                            worker_id="live", owns_store=True)
+        try:
+            results = run_points(points, session=live)
+            rows = live.store.point_rows("drill")
+        finally:
+            live.close()
+    if len(claimed) != len(points):
+        return FaultCheck("dead-worker", False,
+                          f"the dead worker claimed {len(claimed)} of "
+                          f"{len(points)} rows")
+    if results != expected:
+        return FaultCheck("dead-worker", False,
+                          "reclaimed results diverged from a fresh run")
+    unfinished = [
+        row["seq"] for row in rows
+        if row["status"] != POINT_DONE or row["claims"] != 2
     ]
-    if len(fallbacks) != 1:
-        return FaultCheck(
-            "worker-failure", False,
-            f"expected one RuntimeWarning naming BrokenProcessPool, "
-            f"got {len(fallbacks)}",
-        )
-    if degraded != serial:
-        return FaultCheck("worker-failure", False,
-                          "fallback results diverged from the serial loop")
+    if unfinished:
+        return FaultCheck("dead-worker", False,
+                          f"rows {unfinished} are not DONE after exactly "
+                          "two claims")
     return FaultCheck(
-        "worker-failure", True,
-        f"pool of {jobs} died; run_points warned once and fell back to "
-        f"the serial loop, with results identical to it over "
-        f"{len(points)} points",
+        "dead-worker", True,
+        f"a worker died holding all {len(points)} claims; a second one "
+        f"reclaimed every row after its {_DEAD_LEASE_SECONDS:g}s lease, "
+        "with results identical to a fresh run",
     )
 
 
@@ -208,15 +203,15 @@ def check_interrupt(after_points: int = 2) -> FaultCheck:
         original = parallel.simulate_point
         calls = {"n": 0}
 
-        def interrupting(point):
+        def interrupting(point, constants=None):
             calls["n"] += 1
             if calls["n"] > after_points:
                 raise KeyboardInterrupt
-            return original(point)
+            return original(point, constants)
 
         parallel.simulate_point = interrupting
         try:
-            parallel.run_points(points, jobs=1)
+            parallel.run_points(points)
         except KeyboardInterrupt:
             interrupted = True
         else:
@@ -247,10 +242,10 @@ def check_interrupt(after_points: int = 2) -> FaultCheck:
         )
 
 
-def run_fault_suite(jobs: int = 4) -> List[FaultCheck]:
+def run_fault_suite() -> List[FaultCheck]:
     """All three fault scenarios, in order."""
     return [
         check_cache_corruption(),
-        check_worker_failure(jobs=jobs),
+        check_dead_worker(),
         check_interrupt(),
     ]

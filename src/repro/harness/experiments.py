@@ -10,8 +10,8 @@ Caching is content-addressed (:mod:`repro.perf`): every run is keyed by
 a fingerprint of the kernel structure, configuration, parameters and
 record stream, with an in-memory tier plus an optional on-disk tier
 (``cache_dir``) that makes repeated experiment runs nearly free.
-Independent sweep points fan out over a process pool when the context
-is constructed with ``jobs > 1``.
+Sweeps run their points as claim rows (:mod:`repro.sched`), so
+``repro-worker`` processes sharing the ledger can take some of them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..perf.fingerprint import (
     fingerprint_params,
     fingerprint_records,
 )
-from ..perf.parallel import SweepPoint, effective_workers, run_points
+from ..perf.parallel import SweepPoint
 from .reporting import fmt_float, fmt_speedup, render_table
 
 #: Paper Table 4 (baseline ops/cycle) for side-by-side reporting.
@@ -104,10 +104,9 @@ PAPER_PREFERRED = {
 class ExperimentContext:
     """Shared simulator + content-addressed run cache for the experiments.
 
-    ``jobs > 1`` fans independent simulation points out over a process
-    pool in :meth:`run_many`; ``cache_dir`` adds an on-disk JSON tier
-    (conventionally ``.repro_cache/``) so repeated runs across processes
-    hit the cache instead of the simulator.  A pre-built
+    ``cache_dir`` adds an on-disk JSON tier (conventionally
+    ``.repro_cache/``) so repeated runs across processes hit the cache
+    instead of the simulator.  A pre-built
     :class:`~repro.perf.cache.RunCache` can be shared via ``cache``.
 
     ``backend`` selects the default machine model (a
@@ -123,7 +122,6 @@ class ExperimentContext:
         records: int = 512,
         large_kernel_records: int = 128,
         seed: int = 0,
-        jobs: int = 1,
         cache: Optional[RunCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         backend: Union[str, Backend] = "grid",
@@ -134,7 +132,6 @@ class ExperimentContext:
         self.records = records
         self.large_kernel_records = large_kernel_records
         self.seed = seed
-        self.jobs = jobs
         self.cache = cache if cache is not None else RunCache(cache_dir)
         self._workloads: Dict[str, list] = {}
         self._keys: Dict[Tuple[str, str, str], str] = {}
@@ -303,22 +300,18 @@ class ExperimentContext:
         pairs: Sequence[Tuple[str, MachineConfig]],
         backend: Union[str, Backend, None] = None,
     ) -> Dict[Tuple[str, str], RunResult]:
-        """Simulate many points at once, fanning misses over ``jobs``.
+        """Simulate many points at once, as one sweep of claim rows.
 
-        Cache hits are never re-simulated; misses fan out over a pool
-        when more than one worker is effective, and otherwise run
-        through :meth:`run`'s in-context serial path — which reuses
-        this context's cached workloads and fingerprints instead of
-        rebuilding them per point, and simulates each distinct machine
-        once (:meth:`~repro.perf.parallel.JobConstants.simulate`).
-        Either way results land in the cache, so later :meth:`run`
-        calls return the same objects.
-
-        Both paths run as claim consumers of one session: the points
-        become claim rows, so with a ledger configured concurrent
-        workers on the same database split the sweep, rows they
-        finish are adopted instead of re-simulated, and
-        :meth:`progress_snapshot` reads how far the sweep is.
+        Cache hits are never re-simulated.  The misses become the claim
+        rows of one session, which this process runs in seq order with
+        this context's cached workloads and fingerprints, simulating
+        each distinct machine once
+        (:meth:`~repro.perf.parallel.JobConstants.simulate`).  With a
+        ledger configured, ``repro-worker`` processes on the same
+        database can claim rows of the sweep; the rows they finish are
+        adopted instead of re-simulated, and :meth:`progress_snapshot`
+        reads how far the sweep is.  Results land in the cache either
+        way, so later :meth:`run` calls return the same objects.
         """
         from ..sched import session_for_points
 
@@ -344,61 +337,12 @@ class ExperimentContext:
             if self._progress_started is None:
                 self._progress_started = time.time()
             self._session = session
-        in_context = effective_workers(self.jobs, len(missing)) < 2
-        swept = False
-        try:
-            if in_context:
-                fresh = self._sweep_in_context(session, points, missing, b)
-            else:
-                timed = run_points(
-                    points, jobs=self.jobs, timed=True, session=session
-                )
-                # Each pool point is a job of its own, so none is a copy;
-                # a serial fallback's copies are on the session.
-                self.simulated_points += len(timed) - session.constants.copied
-                for (name, config, fp), (result, seconds) in zip(
-                        missing, timed):
-                    self.cache.put(fp, result)
-                    self.point_seconds[
-                        (self._label(b, name), config.name)
-                    ] = seconds
-                fresh = [result for result, _ in timed]
-            swept = True
-        finally:
-            if in_context:
-                self.simulated_points += session.constants.simulated
-            self.copied_points += session.constants.copied
-            # A sweep leaves the live view and joins the finished count
-            # at once, before its store closes: a tick never reads a
-            # closed store, nor counts a point twice.
-            with self._progress_lock:
-                self._session = None
-                self._swept_total += len(points)
-                if swept:
-                    self._swept[b.name] = (
-                        self._swept.get(b.name, 0) + len(points)
-                    )
-            session.close()
-        for (name, config, _), result in zip(missing, fresh):
-            results[(name, config.name)] = result
-        return results
-
-    def _sweep_in_context(
-        self, session, points: List[SweepPoint],
-        missing: List[Tuple[str, MachineConfig, str]], b: Backend,
-    ) -> List[RunResult]:
-        """Run a sweep's claimed points in this process, in seq order.
-
-        Bit-identical to the pool worker (same seed, records, params),
-        minus its per-point rebuild of workloads and fingerprints.  A
-        point whose machine a job-mate already simulated gets a copy of
-        that result under its own configuration name.  The caller's
-        scan already charged the cache miss, so each point is simulated
-        and stored directly rather than re-probed through :meth:`run`.
-        """
         payloads: Dict[int, RunResult] = {}
 
         def run(seq: int) -> RunResult:
+            # The caller's scan already charged the cache miss, so the
+            # point is simulated and stored directly, not re-probed
+            # through :meth:`run`.
             name, config, fp = missing[seq]
             result, seconds = session.run_claimed(seq, lambda point: (
                 session.constants.simulate(
@@ -423,9 +367,28 @@ class ExperimentContext:
                 ] = float(wall)
             self.cache.put(fp, payloads[seq])
 
-        session.enqueue(points)
-        session.wait_remaining(payloads, runner=run, on_adopted=adopted)
-        return [payloads[seq] for seq in range(len(missing))]
+        swept = False
+        try:
+            session.enqueue(points)
+            session.wait_remaining(payloads, runner=run, on_adopted=adopted)
+            swept = True
+        finally:
+            self.simulated_points += session.constants.simulated
+            self.copied_points += session.constants.copied
+            # A sweep leaves the live view and joins the finished count
+            # at once, before its store closes: a tick never reads a
+            # closed store, nor counts a point twice.
+            with self._progress_lock:
+                self._session = None
+                self._swept_total += len(points)
+                if swept:
+                    self._swept[b.name] = (
+                        self._swept.get(b.name, 0) + len(points)
+                    )
+            session.close()
+        for seq, (name, config, _) in enumerate(missing):
+            results[(name, config.name)] = payloads[seq]
+        return results
 
     def progress_snapshot(self) -> dict:
         """Progress of every point this context sent to a claim session.
@@ -669,7 +632,7 @@ def figure2_measured(ctx: Optional[ExperimentContext] = None) -> Figure2Measured
     The analytic :func:`figure2` stays the default reproduction; this
     variant replays the same architecture matching on the simulated
     vector and SIMD backends and the grid's MIMD morph, all resolved by
-    registry name, so every point caches and fans out like any other.
+    registry name, so every point caches and shards like any other.
     """
     ctx = ctx or ExperimentContext()
     baseline = MachineConfig.baseline()

@@ -75,11 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cols", type=int, default=None, metavar="N",
         help="grid columns (default 8; grid-geometry backends only)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the simulation sweep (default 1: "
-             "deterministic serial loop; results are identical either way)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="on-disk run cache directory (e.g. .repro_cache); repeated "
              "invocations replay cached simulation points",
@@ -122,7 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         params=params,
         records=args.records,
         large_kernel_records=max(16, args.records // 4),
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=backend,
     )
@@ -150,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         run_all()
     # stderr, like --profile: stdout stays byte-identical across
-    # serial / --jobs / cache-replay runs (timings and hit rates vary).
+    # cold / cache-replay runs (timings and hit rates vary).
     print(run_summary(ctx), file=sys.stderr)
     return 0
 

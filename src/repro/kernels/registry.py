@@ -13,7 +13,6 @@ for it, once per process.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,14 +57,7 @@ _KERNELS: Dict[str, Kernel] = {}
 
 #: Guards the registry and every kernel build, so threads sharing a
 #: process (``repro-serve --workers N``) never build a kernel twice.
-#: Held across ``fork()`` so a child never inherits it mid-build.
 _LOCK = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_LOCK.acquire,
-        after_in_parent=_LOCK.release,
-        after_in_child=_LOCK.release,
-    )
 
 
 @dataclass(frozen=True)

@@ -66,12 +66,12 @@ def active_core() -> str:
 
 
 def set_engine_core(mode: Optional[str]) -> None:
-    """Select the engine core for this process *and* its pool workers.
+    """Select the engine core for this process and the ones it starts.
 
-    Mirrors the choice into ``REPRO_ENGINE_CORE`` so processes spawned
-    by :func:`repro.perf.parallel.run_points` inherit it — a parent and
-    its workers must agree on the core or their run fingerprints would
-    address different cache entries.  ``None`` clears the override.
+    Mirrors the choice into ``REPRO_ENGINE_CORE`` so child processes
+    inherit it — processes sharing a sweep must agree on the core or
+    their run fingerprints would address different cache entries.
+    ``None`` clears the override.
     """
     global _MODE
     _validate(mode)

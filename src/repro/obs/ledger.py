@@ -17,13 +17,12 @@ Design points:
   (the default).  It turns on when the ``REPRO_LEDGER`` environment
   variable names a database path, or via :meth:`LedgerHandle.configure`
   (the CLIs do this for their ``--ledger`` flags, default-on).
-* **Safe for concurrent pool workers.**  The database runs in WAL
-  mode with a busy timeout; every process (and thread) appends through
-  its own connection in one short autocommitted ``INSERT`` — sqlite
-  serializes the writers.  Worker processes inherit ``REPRO_LEDGER``
-  through the environment and :class:`~repro.perf.parallel.SweepPoint`
-  carries the path explicitly, so fan-out records exactly like the
-  serial loop.
+* **Safe for concurrent writers.**  The database runs in WAL mode with
+  a busy timeout; every process appends through its own connection in
+  one short autocommitted ``INSERT`` — sqlite serializes the writers
+  across processes, and one lock serializes a process's threads.  A
+  ``repro-worker`` attached to the same file records exactly like the
+  sweep it shards.
 * **Self-describing rows.**  Each row carries the run's content
   fingerprint, backend and engine core, kernel/config/params, a
   per-phase timing breakdown, the metrics snapshot from
@@ -216,18 +215,11 @@ def encode_params(params) -> Optional[str]:
 
 
 #: The lock around every sqlite call a :class:`RunLedger` makes, shared
-#: by all of this process's ledgers.  ``fork()`` takes it first, so a
-#: pool worker is never forked while another thread is inside sqlite:
-#: the child would inherit sqlite's in-process lock state mid-statement
-#: and block (busy-wait, or deadlock) on a lock no thread of its own
-#: holds.
+#: by all of this process's ledgers.  The service's queue store and the
+#: process-wide :data:`LEDGER` write one file from one process through
+#: two connections; the shared lock makes them wait for each other here
+#: rather than in sqlite's busy handler, which sleeps 1-100 ms a retry.
 _SQLITE_LOCK = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_SQLITE_LOCK.acquire,
-        after_in_parent=_SQLITE_LOCK.release,
-        after_in_child=_SQLITE_LOCK.release,
-    )
 
 
 class RunLedger:
@@ -243,12 +235,11 @@ class RunLedger:
     def __init__(self, path: str):
         self.path = str(path)
         self._conn: Optional[sqlite3.Connection] = None
-        self._pid = os.getpid()
         self._lock = _SQLITE_LOCK
 
     def _connect(self) -> sqlite3.Connection:
-        """The (per-process) connection, reopened after a fork."""
-        if self._conn is None or self._pid != os.getpid():
+        """The connection, opened (and the schema made) on first use."""
+        if self._conn is None:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
             conn = sqlite3.connect(
@@ -264,7 +255,6 @@ class RunLedger:
                 ("schema", str(LEDGER_SCHEMA)),
             )
             self._conn = conn
-            self._pid = os.getpid()
         return self._conn
 
     def append(self, row: Dict[str, Any]) -> None:
@@ -776,14 +766,14 @@ class RunLedger:
         return row
 
     def close(self) -> None:
-        """Close this process's connection.
+        """Close the connection.
 
         A file ledger reopens on next use.  A ``":memory:"`` database
         dies with its connection, so a closed one raises
         ``sqlite3.ProgrammingError`` on use rather than reopening empty.
         """
         with self._lock:
-            if self._conn is not None and self._pid == os.getpid():
+            if self._conn is not None:
                 self._conn.close()
             if self.path != ":memory:":
                 self._conn = None
@@ -799,8 +789,8 @@ class LedgerHandle:
 
     ``LEDGER.enabled`` is the one-attribute-test fast path; when True,
     ``LEDGER.record_run(...)`` appends a row to the configured database.
-    Mirrors the path into :data:`LEDGER_ENV` so spawned worker
-    processes inherit the configuration.
+    Mirrors the path into :data:`LEDGER_ENV` so child processes
+    inherit the configuration.
     """
 
     __slots__ = ("enabled", "path", "_ledger")
@@ -813,9 +803,8 @@ class LedgerHandle:
     def configure(self, path: Optional[str], mirror_env: bool = True) -> None:
         """Enable the ledger at ``path`` (None/empty disables).
 
-        ``mirror_env`` writes the choice into ``REPRO_LEDGER`` so pool
-        workers spawned later land in the same database even when their
-        :class:`~repro.perf.parallel.SweepPoint` predates the flag.
+        ``mirror_env`` writes the choice into ``REPRO_LEDGER`` so child
+        processes started later land in the same database.
         """
         if path is None or str(path).strip().lower() in _DISABLED_VALUES:
             self.disable(mirror_env=mirror_env)
@@ -932,7 +921,7 @@ def _safe_user() -> Optional[str]:
 #: The process-wide ledger the dispatch choke point records into.
 LEDGER = LedgerHandle()
 
-# Environment-driven default: workers spawned by a ledger-enabled
+# Environment-driven default: processes started by a ledger-enabled
 # parent (and CI jobs exporting REPRO_LEDGER) record automatically.
 _env_path = os.environ.get(LEDGER_ENV)
 if _env_path is not None:

@@ -16,9 +16,10 @@ False (the default) every instrumented code path pays exactly one
 attribute test and records nothing, so normal runs are unaffected (the
 overhead contract is pinned by ``tests/obs/test_overhead.py``).
 
-Workers in a process pool collect into their own registry copy;
-:meth:`MetricsRegistry.merge` folds a worker's snapshot back into the
-parent (:func:`repro.perf.parallel.run_points` does this automatically).
+Each process collects into its own registry.
+:meth:`MetricsRegistry.merge` folds a flat snapshot into it: a run's
+memory-traffic summary, or a nested :class:`collecting` scope's
+activity when the scope exits.
 """
 
 from __future__ import annotations
@@ -151,11 +152,10 @@ class MetricsRegistry:
         return dict(sorted(doc.items()))
 
     def merge(self, snapshot: Dict[str, float]) -> None:
-        """Fold a worker's flat snapshot into this registry.
+        """Fold a flat snapshot into this registry.
 
         Counter-like keys add; keys that exist here as gauges take the
-        max (a worker's utilization/high-water readings should not be
-        summed across processes).
+        max (utilization/high-water readings should not be summed).
         """
         for name, value in snapshot.items():
             if name in self.gauges:

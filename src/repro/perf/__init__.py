@@ -1,9 +1,9 @@
-"""Performance layer: content-addressed run caching and parallel sweeps.
+"""Performance layer: content-addressed run caching and sweep points.
 
 Deterministic simulation points are perfectly memoizable — the same
 (kernel structure, machine configuration, machine parameters, record
 stream, seed) always produces the same :class:`~repro.machine.stats.RunResult`
-— and embarrassingly parallel.  This package exploits both properties:
+— and independent of each other.  This package exploits both properties:
 
 * :mod:`repro.perf.fingerprint` computes stable content hashes over
   every simulation input, so results can be addressed by *what was
@@ -11,9 +11,9 @@ stream, seed) always produces the same :class:`~repro.machine.stats.RunResult`
 * :mod:`repro.perf.cache` stores results under those fingerprints, with
   an in-memory tier plus an optional on-disk JSON tier (``.repro_cache/``)
   that survives across processes;
-* :mod:`repro.perf.parallel` fans independent (kernel, config) points
-  out over a process pool — workers clamped to the host's CPUs, points
-  scheduled longest-first — with a deterministic-order serial fallback;
+* :mod:`repro.perf.parallel` describes (kernel, config) points by value
+  and runs a sweep of them as claim rows (:mod:`repro.sched`), which
+  other processes sharing the ledger can claim too;
 * :mod:`repro.perf.phases` attributes wall time to pipeline phases
   (mapping vs engine vs memory interface) when explicitly enabled.
 
@@ -32,7 +32,7 @@ from .fingerprint import (
     fingerprint_records,
     run_fingerprint,
 )
-from .parallel import SweepPoint, effective_workers, run_points, simulate_point
+from .parallel import SweepPoint, run_points, simulate_point
 from .phases import PHASES, PhaseAccumulator, measuring
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SweepPoint",
     "combine_fingerprints",
     "fingerprint_backend",
-    "effective_workers",
     "fingerprint_config",
     "fingerprint_kernel",
     "fingerprint_params",

@@ -12,9 +12,10 @@ row (``repro-perf diff`` compares two), and the traced benchmark
 The accumulator is a process-global, explicitly enabled instrument:
 when ``PHASES.enabled`` is False (the default) the instrumented code
 paths pay a single attribute test and no clock reads, so normal runs
-are unaffected.  Workers in a process pool accumulate into their own
-copy; phase breakdowns are therefore meaningful for serial runs (which
-is what the benchmark measures them on).
+are unaffected.  Each process accumulates into its own copy, and
+threads of one process share it; phase breakdowns are therefore
+meaningful for serial runs (which is what the benchmark measures them
+on).
 """
 
 from __future__ import annotations

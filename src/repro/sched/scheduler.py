@@ -1,9 +1,9 @@
 """The claim session: one job's point lifecycle against a claim store.
 
-:class:`ClaimSession` is the layer every execution path now drives —
-``run_points``'s serial and pool consumers, the experiment harness's
-in-context loop, the service queue's worker threads and the
-``repro-worker`` CLI all speak the same four verbs:
+:class:`ClaimSession` is the layer every execution path drives —
+``run_points``' consumer loop, the experiment harness's in-context
+loop, the service queue's worker threads and the ``repro-worker`` CLI
+all speak the same four verbs:
 
 ``enqueue``
     insert this job's points as PENDING rows (idempotent — resuming an
@@ -243,20 +243,16 @@ class ClaimSession:
 
     # ---- the consumer loop --------------------------------------------------
 
-    def payload_from_row(self, row: Dict[str, Any], timed: bool = False):
-        """A run_points-shaped payload from a DONE claim row."""
+    def payload_from_row(self, row: Dict[str, Any]):
+        """The result a DONE claim row carries, deserialized."""
         from ..perf.cache import run_result_from_dict
 
-        result = run_result_from_dict(json.loads(row["result"]))
-        if timed:
-            return result, float(row.get("wall_seconds") or 0.0)
-        return result
+        return run_result_from_dict(json.loads(row["result"]))
 
     def wait_remaining(
         self,
         payloads: Dict[int, Any],
         runner: Callable[[int], Any],
-        timed: bool = False,
         poll_seconds: float = 0.05,
         on_adopted: Optional[Callable[[int, Dict[str, Any]], None]] = None,
     ) -> None:
@@ -295,7 +291,7 @@ class ClaimSession:
                         "from the claim store"
                     )
                 if row["status"] == POINT_DONE:
-                    payloads[seq] = self.payload_from_row(row, timed)
+                    payloads[seq] = self.payload_from_row(row)
                     if on_adopted is not None:
                         on_adopted(seq, row)
                     progressed = True

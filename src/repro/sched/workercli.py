@@ -10,7 +10,11 @@ runs twice, no matter how many workers attach::
     repro-worker --ledger .repro_ledger.sqlite --exit-idle
 
 By default the worker serves every job in the ledger, oldest first;
-``--job ID`` pins it to one job.  ``--exit-idle`` stops when no work
+``--job ID`` pins it to one job.  The worker keeps the constants of the
+job it is running (:class:`~repro.perf.parallel.JobConstants`), so the
+job's points share record streams and simulate each machine once; a
+row of another job replaces them, so a resident worker holds one job's
+at most.  ``--exit-idle`` stops when no work
 is claimable (batch mode, what CI uses); without it the worker polls
 for new rows until interrupted (a resident drain for a service ledger).
 """
@@ -24,6 +28,7 @@ import time
 from typing import List, Optional
 
 from ..obs.ledger import DEFAULT_LEDGER, LEDGER, RunLedger
+from ..perf.parallel import JobConstants, simulate_point
 from .codec import decode_point
 from .scheduler import DEFAULT_LEASE_SECONDS, default_worker_id
 
@@ -87,12 +92,12 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         path = LEDGER.path if LEDGER.enabled else DEFAULT_LEDGER
     worker = args.worker_id or default_worker_id()
     store = RunLedger(path)
-    # Point rows route their own durable run records via ledger_path;
-    # adopt this ledger for points that predate one being set.
+    # The points' run rows land in this ledger, beside their claim rows.
     if not LEDGER.enabled:
         LEDGER.configure(path, mirror_env=False)
     done = 0
     failed = 0
+    job_id, constants = None, None
     try:
         while True:
             if args.max_points is not None and done >= args.max_points:
@@ -110,7 +115,9 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
                 time.sleep(max(0.05, args.poll))
                 continue
             for row in rows:
-                if _run_row(store, worker, row):
+                if row["job_id"] != job_id:
+                    job_id, constants = row["job_id"], JobConstants()
+                if _run_row(store, worker, row, constants):
                     done += 1
                 else:
                     failed += 1
@@ -129,10 +136,14 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     return 0 if failed == 0 else 1
 
 
-def _run_row(store: RunLedger, worker: str, row: dict) -> bool:
-    """Run one claimed row; record DONE/FAILED.  True when DONE."""
+def _run_row(
+    store: RunLedger, worker: str, row: dict, constants: JobConstants
+) -> bool:
+    """Run one claimed row with its job's constants; record DONE/FAILED.
+
+    True when DONE.
+    """
     from ..perf.cache import run_result_to_dict
-    from ..perf.parallel import simulate_point_meta
 
     job_id, seq = row["job_id"], row["seq"]
     label = row.get("label") or f"{job_id}:{seq}"
@@ -149,7 +160,9 @@ def _run_row(store: RunLedger, worker: str, row: dict) -> bool:
         point = decode_point(
             json.loads(spec_doc), fingerprint=row.get("fingerprint")
         )
-        result, seconds, verdict = simulate_point_meta(point)
+        started = time.perf_counter()
+        result, verdict = simulate_point(point, constants)
+        seconds = time.perf_counter() - started
     except Exception as exc:
         store.fail_point(job_id, seq, worker, f"{type(exc).__name__}: {exc}")
         print(f"fail {label}: {exc}", file=sys.stderr)

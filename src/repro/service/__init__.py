@@ -2,8 +2,9 @@
 
 The repo's cross-cutting layers already make one simulation point
 cheap to repeat (content-addressed run cache), observable (metrics,
-ledger, progress snapshots) and parallel (``run_points``).  This
-package turns that machinery into a *service* many clients can share:
+ledger, progress snapshots) and shardable across processes (claim
+rows, ``repro-worker``).  This package turns that machinery into a
+*service* many clients can share:
 
 * :mod:`repro.service.spec` — :class:`~repro.service.spec.SweepSpec`,
   the validated wire format of one sweep request (kernels × configs on
@@ -11,7 +12,7 @@ package turns that machinery into a *service* many clients can share:
   :class:`~repro.perf.parallel.SweepPoint` batches — and therefore the
   same cache addresses — as the ``repro-experiments`` CLI;
 * :mod:`repro.service.jobs` — :class:`~repro.service.jobs.JobQueue`,
-  an in-process queue with a background worker, run IDs, cancellation,
+  an in-process queue with worker threads, run IDs, cancellation,
   per-job progress snapshots and ledger accounting;
 * :mod:`repro.service.server` — the stdlib-only threaded HTTP API
   (``POST /jobs``, ``GET /jobs/{id}``, ``GET /jobs/{id}/results``,

@@ -65,10 +65,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         help=f"bind port (default {DEFAULT_PORT}; 0 picks a free port)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes each sweep fans out over (default 1)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="queue worker threads — jobs running concurrently "
              "(default 1; needs a ledger for coherent accounting)",
@@ -92,7 +88,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     queue = JobQueue(
         cache_dir=args.cache_dir,
         ledger_path=_resolve_ledger(args),
-        jobs=args.jobs,
         workers=args.workers,
     )
     server = start_server(

@@ -10,8 +10,8 @@ the claim table — in the durable ledger when one is configured, else
 in a private ``:memory:`` ledger — and
 :func:`~repro.perf.parallel.run_points` claims, dispatches, and records
 them under a :class:`~repro.sched.ClaimSession` wired to the job's
-cancel event.  Every DONE row carries its cache verdict, whether the
-serial loop, the pool or an external worker ran it, so a job's cache
+cancel event.  Every DONE row carries its cache verdict, whether a
+queue thread or an external ``repro-worker`` ran it, so a job's cache
 counts are read from its own claim rows
 (:meth:`~repro.sched.ClaimSession.cache_verdicts`) and never mix in a
 concurrent job's traffic.
@@ -43,11 +43,11 @@ Job lifecycle state machine::
 * Terminal states never transition again; cancelling a terminal job
   is a no-op returning False.
 
-Sweeps still parallelize *inside* a job via ``run_points(jobs=N)``;
-``workers`` controls how many jobs run concurrently.  Repeat
-submissions of an identical spec remain the cheap path: every point
-hits the on-disk run cache, so the "sweep" collapses into
-ledger-recorded replays.
+``workers`` controls how many jobs run concurrently; the points of one
+job run one at a time on its thread, unless ``repro-worker`` processes
+on the same ledger claim some of them.  Repeat submissions of an
+identical spec remain the cheap path: every point hits the on-disk run
+cache, so the "sweep" collapses into ledger-recorded replays.
 """
 
 from __future__ import annotations
@@ -118,23 +118,20 @@ class JobQueue:
     ``cache_dir`` is the shared on-disk run cache every job's points
     consult (the cache-hit fast path for repeat submissions);
     ``ledger_path`` the durable ledger database each job's points,
-    claim rows and lifecycle records land in; ``jobs`` the per-sweep
-    worker-process fan-out passed to :func:`run_points`; ``workers``
-    the number of queue worker threads (concurrent jobs).
+    claim rows and lifecycle records land in; ``workers`` the number
+    of queue worker threads (concurrent jobs).
     """
 
     def __init__(
         self,
         cache_dir: Optional[str] = None,
         ledger_path: Optional[str] = None,
-        jobs: int = 1,
         workers: int = 1,
     ):
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.ledger_path = (
             str(ledger_path) if ledger_path is not None else None
         )
-        self.jobs = max(1, int(jobs))
         self.workers = max(1, int(workers))
         self.started_at = time.time()
         self._lock = threading.Lock()
@@ -506,9 +503,7 @@ class JobQueue:
         try:
             with self._ledger_scope():
                 try:
-                    results = run_points(
-                        points, jobs=self.jobs, session=session
-                    )
+                    results = run_points(points, session=session)
                 except SweepCancelled as exc:
                     cancelled = exc
             snapshot = session.progress_snapshot(job.started_at)

@@ -30,7 +30,6 @@ from repro.perf import (
     RunCache,
     SweepPoint,
     run_fingerprint,
-    run_points,
     simulate_point,
 )
 
@@ -187,7 +186,7 @@ class TestSweepIntegration:
             workload_seed=7,
             backend=name,
         )
-        result = simulate_point(point)
+        result, _ = simulate_point(point)
         assert result.detail["backend"] == name
 
     def test_point_backend_defaults_to_grid(self):
@@ -199,24 +198,7 @@ class TestSweepIntegration:
             workload_seed=7,
         )
         assert point.backend == "grid"
-        assert simulate_point(point).detail["backend"] == "grid"
-
-    def test_serial_and_parallel_sweeps_agree(self):
-        points = [
-            SweepPoint(
-                kernel=kernel,
-                config=config_for(backend),
-                params=MachineParams(),
-                records=16,
-                workload_seed=7,
-                backend=backend,
-            )
-            for backend in ("vector", "simd", "superscalar")
-            for kernel in ("convert", "fft")
-        ]
-        serial = run_points(points, jobs=1)
-        parallel = run_points(points, jobs=2)
-        assert serial == parallel
+        assert simulate_point(point)[0].detail["backend"] == "grid"
 
     def test_workers_share_the_disk_cache_across_backends(self, tmp_path):
         point = SweepPoint(
@@ -228,9 +210,10 @@ class TestSweepIntegration:
             cache_dir=str(tmp_path),
             backend="simd",
         )
-        first = simulate_point(point)
+        first, _ = simulate_point(point)
         cache = RunCache(tmp_path)
-        simulate_point(point)  # replayed from disk, not re-simulated
+        # replayed from disk, not re-simulated
+        assert simulate_point(point)[1] == "hit"
         fp = run_fingerprint(
             spec("fft").kernel(),
             point.config,

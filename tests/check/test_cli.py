@@ -59,7 +59,7 @@ class TestReplay:
 
 class TestFaults:
     def test_fault_suite_exit_zero(self, capsys):
-        code = main(["faults", "--jobs", "2"])
+        code = main(["faults"])
         err = capsys.readouterr().err
         assert code == 0
         assert "3 scenario(s), 0 failed" in err

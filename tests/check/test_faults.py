@@ -1,4 +1,4 @@
-"""Fault injection: damaged caches, dying pools and interrupts must all
+"""Fault injection: damaged caches, dead workers and interrupts must all
 degrade gracefully — never wrong results."""
 
 import json
@@ -6,8 +6,8 @@ import json
 from repro.check.faults import (
     FaultPlan,
     check_cache_corruption,
+    check_dead_worker,
     check_interrupt,
-    check_worker_failure,
     inject_cache_faults,
     run_fault_suite,
 )
@@ -72,18 +72,19 @@ class TestScenarios:
         check = check_cache_corruption()
         assert check.passed, check.detail
 
-    def test_worker_failure_falls_back_to_serial(self):
-        check = check_worker_failure(jobs=3)
+    def test_dead_worker_rows_are_reclaimed(self):
+        check = check_dead_worker()
         assert check.passed, check.detail
+        assert "all 4 claims" in check.detail
 
     def test_interrupt_propagates_without_torn_state(self):
         check = check_interrupt(after_points=2)
         assert check.passed, check.detail
 
     def test_full_suite_is_green(self):
-        checks = run_fault_suite(jobs=2)
+        checks = run_fault_suite()
         assert [c.name for c in checks] == [
-            "cache-corruption", "worker-failure", "interrupt",
+            "cache-corruption", "dead-worker", "interrupt",
         ]
         assert all(c.passed for c in checks), \
             [c.render() for c in checks if not c.passed]

@@ -1,7 +1,6 @@
 """The paper-output contract: ``repro-experiments`` stdout is the
 committed ``experiment_report.txt``, byte for byte, under either engine
-core, serial or parallel, cold or replayed from the disk cache, with
-the ledger off or on.
+core, cold or replayed from the disk cache, with the ledger off or on.
 
 Every fast path is pinned to the object engines elsewhere; this test
 pins the whole pipeline to the published numbers, so regenerating the
@@ -39,11 +38,10 @@ def test_stdout_matches_committed_report(core, tmp_path):
     assert not list(tmp_path.iterdir())  # no cache or ledger left behind
 
 
-def test_parallel_cached_ledgered_runs_match_committed_report(tmp_path):
-    """``--jobs 2`` with a disk cache and the ledger on, twice: the cold
-    parallel run and the warm replay print the same report, and the
-    replay simulates nothing."""
-    args = ("--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+def test_cached_ledgered_runs_match_committed_report(tmp_path):
+    """A disk cache and the ledger on, twice: the cold run and the warm
+    replay print the same report, and the replay simulates nothing."""
+    args = ("--cache-dir", str(tmp_path / "cache"),
             "--ledger", str(tmp_path / "runs.db"), "--engine-core", "array")
     cold_stdout, _ = run_report(tmp_path, *args)
     warm_stdout, warm_stderr = run_report(tmp_path, *args)

@@ -23,13 +23,10 @@ class TestRunSummary:
         assert "1 hits / 1 misses" in text
         assert "simulated points : 1" in text
 
-    def test_counts_copied_points_apart_from_simulated(self, monkeypatch):
+    def test_counts_copied_points_apart_from_simulated(self):
         """A point whose machine a job-mate already simulated is a copy:
         convert has no lookup tables, so its S-O-D point runs the S-O
         machine and copies that result."""
-        monkeypatch.setattr(
-            experiments, "effective_workers", lambda jobs, n: 1
-        )
         ctx = small_context()
         ctx.run_many([("convert", named_config("S-O")),
                       ("convert", named_config("S-O-D"))])
@@ -38,39 +35,19 @@ class TestRunSummary:
         assert "copied points    : 1 " in text
         assert len(ctx.point_seconds) == 2  # the bench still times both
 
-    def test_pool_fallback_counts_its_copies(self, monkeypatch):
-        """A pool that cannot spawn runs the sweep serially, where the
-        S-O-D point copies the S-O machine's result, as in-context."""
-        from repro.perf import parallel
-
-        class BrokenPool:
-            def __init__(self, max_workers):
-                raise OSError("no process spawning here")
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", BrokenPool)
-        ctx = small_context(jobs=2)
-        with pytest.warns(RuntimeWarning, match="OSError"):
-            ctx.run_many([("convert", named_config("S-O")),
-                          ("convert", named_config("S-O-D"))])
-        assert (ctx.simulated_points, ctx.copied_points) == (1, 1)
-
     def test_has_no_dispatch_line(self):
         """Dispatch is accounted on the claim and ledger rows, not in a
         process-global summary line."""
-        ctx = small_context(jobs=4)
+        ctx = small_context()
         ctx.run_many([("convert", named_config("S"))])
         text = runner.run_summary(ctx)
         assert "dispatch" not in text
         assert "engine core" in text and "run cache" in text
 
-    def test_in_context_sweep_records_dispatch_stats(self, monkeypatch):
-        """run_many's serial fast path (one effective worker) runs its
-        points as claim rows, which the context's progress view counts."""
-        monkeypatch.setattr(
-            experiments, "effective_workers", lambda jobs, n: 1
-        )
-        ctx = small_context(jobs=4)
+    def test_in_context_sweep_records_dispatch_stats(self):
+        """run_many runs its points as claim rows, which the context's
+        progress view counts."""
+        ctx = small_context()
         ctx.run_many([("convert", named_config("S"))])
         state = ctx.progress_snapshot()
         assert (state["completed"], state["total"]) == (1, 1)
@@ -99,7 +76,7 @@ class TestRunSummary:
 
     def test_main_keeps_stdout_deterministic(self, capsys):
         """The summary (timings, hit rates) goes to stderr so stdout
-        stays byte-identical across serial/parallel/replay runs."""
+        stays byte-identical across cold and replay runs."""
         assert runner.main(["table1", "--records", "16"]) == 0
         captured = capsys.readouterr()
         assert "run summary" not in captured.out

@@ -94,7 +94,7 @@ class TestSweepCoverage:
         """The ISSUE acceptance: a 2-point sweep -> >= 2 ledger rows."""
         db = tmp_path / "ledger.sqlite"
         with ledger_to(db) as handle:
-            run_points(sweep_points(2), jobs=1)
+            run_points(sweep_points(2))
             assert handle.ledger.count() >= 2
             kernels = {row["kernel"] for row in handle.ledger.rows()}
         assert kernels == {"convert", "fft"}
@@ -104,8 +104,8 @@ class TestSweepCoverage:
         cache_dir = tmp_path / "cache"
         point = sweep_points(1, cache_dir=str(cache_dir))[0]
         with ledger_to(db) as handle:
-            first = simulate_point(point)
-            second = simulate_point(point)
+            first, _ = simulate_point(point)
+            second, _ = simulate_point(point)
             rows = handle.ledger.rows()
         assert first == second
         verdicts = sorted(row["cache"] for row in rows)
@@ -113,19 +113,6 @@ class TestSweepCoverage:
         assert all(row["fingerprint"] for row in rows)
         hit = next(row for row in rows if row["cache"] == "hit")
         assert hit["wall_seconds"] == 0.0
-
-    def test_sweep_point_carries_ledger_path(self, tmp_path):
-        db = str(tmp_path / "worker.sqlite")
-        point = sweep_points(1, ledger_path=db)[0]
-        # A worker process starts with LEDGER disabled and adopts the
-        # point's path; simulate this in-process from the disabled state.
-        assert not LEDGER.enabled
-        try:
-            simulate_point(point)
-            assert LEDGER.enabled and LEDGER.path == db
-            assert RunLedger(db).count() == 1
-        finally:
-            LEDGER.disable(mirror_env=False)
 
 
 class TestDisabledPath:
@@ -168,8 +155,8 @@ class TestScopeRestoration:
 
     def test_nested_job_scope_exception_restores_outer(self, tmp_path):
         """A service-style per-job scope dying mid-sweep must hand the
-        outer ledger back — handle AND env mirror — or later pool
-        workers would record into a dead per-job database."""
+        outer ledger back — handle AND env mirror — or processes started
+        later would record into a dead per-job database."""
         outer = str(tmp_path / "outer.sqlite")
         per_job = str(tmp_path / "job" / "ledger.sqlite")
         with ledger_to(outer):
@@ -253,53 +240,6 @@ class TestConcurrentWriters:
             b.append({"run_id": f"b{i}", "created_at": float(i)})
         assert a.count() == b.count() == 50
         a.close(), b.close()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
-    def test_fork_waits_for_an_open_transaction(self, tmp_path):
-        """A fork while another thread is inside a ledger transaction
-        waits for it to commit, so the child writes at once instead of
-        stalling on sqlite lock state copied from the parent (pool
-        workers are forked while queue threads use the ledger)."""
-        path = str(tmp_path / "fork.sqlite")
-        ledger = RunLedger(path)
-        ledger.count()  # connect and create the schema
-        inside, finish = threading.Event(), threading.Event()
-        children = []
-
-        def hold_transaction():
-            with ledger._txn():
-                inside.set()
-                finish.wait(10.0)
-
-        def fork_writer():
-            pid = os.fork()
-            if pid == 0:  # the child: one write, short busy timeout
-                code = 1
-                try:
-                    conn = sqlite3.connect(path, timeout=2.0)
-                    conn.execute(
-                        "INSERT INTO meta (key, value) VALUES ('child', '')"
-                    )
-                    conn.commit()
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
-
-        holder = threading.Thread(target=hold_transaction)
-        holder.start()
-        assert inside.wait(10.0)
-        forker = threading.Thread(target=fork_writer)
-        forker.start()
-        forker.join(0.5)
-        assert forker.is_alive(), "forked mid-transaction"
-        finish.set()
-        holder.join(10.0)
-        forker.join(10.0)
-        assert not holder.is_alive() and not forker.is_alive()
-        _, status = os.waitpid(children[0], 0)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-        ledger.close()
 
 
 class TestReadBack:

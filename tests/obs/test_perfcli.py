@@ -24,7 +24,7 @@ def populated_ledger(tmp_path):
                    params=params, records=8, workload_seed=7),
     ]
     with ledger_to(db) as handle:
-        run_points(points, jobs=1)
+        run_points(points)
         run_ids = [row["run_id"] for row in handle.ledger.rows()]
     return str(db), run_ids
 

@@ -45,30 +45,6 @@ def small_context(**kwargs):
     )
 
 
-class InThreadPool:
-    """The pool path without forking: ``map`` yields lazily, as
-    ``ProcessPoolExecutor.map`` does."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return (fn(item) for item in items)
-
-
-@pytest.fixture()
-def pool(monkeypatch):
-    """Route run_points' pool path through :class:`InThreadPool`."""
-    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", InThreadPool)
-
-
 def frozen_clock(monkeypatch, now):
     """Pin the clock the progress views read elapsed time from."""
     monkeypatch.setattr(progress_mod, "time",
@@ -87,7 +63,7 @@ class TestTracker:
             assert state["completed"] == 0 and state["total"] == 3
             assert state["in_flight"] == ["grid:convert|S", "grid:fft|S"]
             session.complete(claimed[0], parallel_mod.simulate_point(
-                points[claimed[0]]))
+                points[claimed[0]])[0])
             state = session.progress_snapshot()
             assert state["completed"] == 1
             assert state["in_flight"] == ["grid:fft|S"]
@@ -106,7 +82,7 @@ class TestTracker:
             points = mine.enqueue(sample_points(1))
             other.enqueue(points)
             (seq,) = other.claim()
-            other.complete(seq, parallel_mod.simulate_point(points[seq]))
+            other.complete(seq, parallel_mod.simulate_point(points[seq])[0])
             state = mine.progress_snapshot()
             assert state["completed"] == 1 and state["total"] == 1
         finally:
@@ -120,8 +96,7 @@ class TestTracker:
             started = time.time() - 1.0
             assert session.progress_snapshot(started)["eta_seconds"] is None
             seq = session.claim(limit=1)[0]
-            session.run_claimed(seq, lambda point: (
-                parallel_mod.simulate_point(point), "uncached"))
+            session.run_claimed(seq, parallel_mod.simulate_point)
             state = session.progress_snapshot(started)
             assert state["points_per_second"] > 0
             assert state["eta_seconds"] is not None
@@ -177,7 +152,7 @@ class TestSnapshotEdges:
         try:
             points = session.enqueue(sample_points(2))
             (seq,) = session.claim(limit=1)
-            session.complete(seq, parallel_mod.simulate_point(points[seq]))
+            session.complete(seq, parallel_mod.simulate_point(points[seq])[0])
             frozen_clock(monkeypatch, 1000.0)
             ctx._progress_started = 1000.0
             for state in (session.progress_snapshot(1000.0),
@@ -226,7 +201,7 @@ class TestSweepIntegration:
     def test_serial_sweep_publishes_counts(self):
         session = memory_session()
         try:
-            run_points(sample_points(3), jobs=1, session=session)
+            run_points(sample_points(3), session=session)
             state = session.progress_snapshot()
         finally:
             session.close()
@@ -240,26 +215,17 @@ class TestSweepIntegration:
         observed = {}
         simulate = parallel_mod.simulate_point
 
-        def spying(point):
+        def spying(point, constants=None):
             observed.update(session.progress_snapshot())
-            return simulate(point)
+            return simulate(point, constants)
 
         monkeypatch.setattr(parallel_mod, "simulate_point", spying)
         try:
-            run_points(sample_points(1), jobs=1, session=session)
+            run_points(sample_points(1), session=session)
         finally:
             session.close()
         assert observed["completed"] == 0
         assert observed["in_flight"] == ["grid:convert|S"]
-
-    def test_pool_sweep_matches_serial_totals(self, pool):
-        session = memory_session()
-        try:
-            run_points(sample_points(3), jobs=2, session=session)
-            state = session.progress_snapshot()
-        finally:
-            session.close()
-        assert state["completed"] == 3 and state["total"] == 3
 
     def test_disabled_by_default(self, monkeypatch):
         """A sweep nobody watches reads no claim rows: the context's
@@ -290,15 +256,10 @@ class TestSweepIntegration:
 
 class TestContextProgress:
     """``ExperimentContext.progress_snapshot`` adds up the context's
-    sweeps, whichever path ran them."""
+    sweeps."""
 
-    @pytest.mark.parametrize("path", ["in-context", "pool"])
-    def test_adds_up_across_sweeps(self, path, request):
-        jobs = 1
-        if path == "pool":
-            request.getfixturevalue("pool")
-            jobs = 3
-        ctx = small_context(jobs=jobs)
+    def test_adds_up_across_sweeps(self):
+        ctx = small_context()
         ctx.run_many([("convert", MachineConfig.S()),
                       ("fft", MachineConfig.S())])
         state = ctx.progress_snapshot()

@@ -53,7 +53,7 @@ class TestCodec:
             sample_points()[0], cache_dir=str(tmp_path)
         )
         fp = point_fingerprint(point)
-        run_points([point], jobs=1)
+        run_points([point])
         assert RunCache(str(tmp_path)).get(fp) is not None
 
 
@@ -152,11 +152,11 @@ class TestJobConstants:
 
         points = service_job(tmp_path)
         expected = [
-            simulate_point(dataclasses.replace(p, cache_dir=None))
+            simulate_point(dataclasses.replace(p, cache_dir=None))[0]
             for p in points
         ]
         calls = spy_workloads(monkeypatch, ["convert", "fft"])
-        assert run_points(points, jobs=1) == expected
+        assert run_points(points) == expected
         assert sorted(calls) == [("convert", 6, 7), ("fft", 6, 7)]
 
     def test_streams_are_keyed_by_records_and_seed(self, monkeypatch):
@@ -173,9 +173,9 @@ class TestJobConstants:
             dataclasses.replace(base, records=6),
             dataclasses.replace(base, workload_seed=8),
         ]
-        expected = [simulate_point(p) for p in points]
+        expected = [simulate_point(p)[0] for p in points]
         calls = spy_workloads(monkeypatch, ["fft"])
-        assert run_points(points, jobs=1) == expected
+        assert run_points(points) == expected
         assert sorted(calls) == [("fft", 4, 7), ("fft", 4, 8), ("fft", 6, 7)]
 
         constants = JobConstants()
@@ -206,7 +206,7 @@ class TestJobConstants:
                 session = ClaimSession(RunLedger(db), job_id=job,
                                        owns_store=True)
                 try:
-                    run_points(points, jobs=1, session=session)
+                    run_points(points, session=session)
                 finally:
                     session.close()
                 assert len(encoded) <= 2
@@ -257,13 +257,13 @@ class TestOneSimulationPerMachine:
 
         points = service_job(tmp_path)
         expected = [
-            simulate_point(dataclasses.replace(p, cache_dir=None))
+            simulate_point(dataclasses.replace(p, cache_dir=None))[0]
             for p in points
         ]
         calls = spy_dispatch(monkeypatch)
         session = ClaimSession(RunLedger(":memory:"), owns_store=True)
         try:
-            assert run_points(points, jobs=1, session=session) == expected
+            assert run_points(points, session=session) == expected
             verdicts = session.cache_verdicts()
         finally:
             session.close()
@@ -299,7 +299,7 @@ class TestOneSimulationPerMachine:
         assert copy.window is not original.window
         assert copy.window.detail is not original.window.detail
         assert run_result_to_dict(copy) == run_result_to_dict(
-            simulate_point(second))
+            simulate_point(second)[0])
 
     def test_identity_tells_apart_params_core_and_stream(
             self, monkeypatch):
@@ -325,9 +325,9 @@ class TestOneSimulationPerMachine:
             pinned,
             dataclasses.replace(pinned, config=MachineConfig.S_O_D()),
         ]
-        expected = [simulate_point(p) for p in points]
+        expected = [simulate_point(p)[0] for p in points]
         calls = spy_dispatch(monkeypatch)
-        assert run_points(points, jobs=1) == expected
+        assert run_points(points) == expected
         assert [config for _, config in calls] == [
             "S", "S-O", "S-O", "S-O", "S-O"]
 
@@ -343,9 +343,9 @@ class TestOneSimulationPerMachine:
                        backend="simd")
             for name in ("a", "b")
         ]
-        expected = [simulate_point(p) for p in points]
+        expected = [simulate_point(p)[0] for p in points]
         calls = spy_dispatch(monkeypatch)
-        results = run_points(points, jobs=1)
+        results = run_points(points)
         assert results == expected
         assert [r.config for r in results] == ["simd-array", "simd-array"]
         assert calls == [("convert", "a")]
@@ -356,7 +356,7 @@ class TestOneSimulationPerMachine:
         db = str(tmp_path / "led.sqlite")
         points = service_job(tmp_path)
         with ledger_to(db):
-            run_points(points, jobs=1)
+            run_points(points)
         conn = sqlite3.connect(db)
         rows = conn.execute(
             "SELECT kernel, config, cache, phases, wall_seconds FROM runs"
@@ -395,7 +395,7 @@ class TestSharding:
         db = str(tmp_path / "led.sqlite")
         points = sample_points(ledger_path=db)
         with ledger_to(db):
-            serial = run_points(sample_points(), jobs=1)
+            serial = run_points(sample_points())
             store = RunLedger(db)
             outcomes = {}
 
@@ -403,9 +403,7 @@ class TestSharding:
                 session = ClaimSession(store, job_id="shared",
                                        worker_id=name)
                 try:
-                    outcomes[name] = run_points(
-                        points, jobs=1, session=session
-                    )
+                    outcomes[name] = run_points(points, session=session)
                 finally:
                     session.close()
 
@@ -430,7 +428,7 @@ class TestSharding:
         db = str(tmp_path / "led.sqlite")
         points = sample_points(ledger_path=db)
         with ledger_to(db):
-            serial = run_points(sample_points(), jobs=1)
+            serial = run_points(sample_points())
             store = RunLedger(db)
             dead = ClaimSession(store, job_id="resumed", worker_id="dead",
                                 lease_seconds=0.05)
@@ -441,7 +439,7 @@ class TestSharding:
             dead.close(release=False)
             live = ClaimSession(store, job_id="resumed", worker_id="live")
             try:
-                results = run_points(points, jobs=1, session=live)
+                results = run_points(points, session=live)
             finally:
                 live.close()
             assert results == serial
@@ -467,18 +465,18 @@ class TestSourceOfTruth:
         session.enqueue(points)
         assert session.claim(limit=1) == [0]
         doctored = dataclasses.replace(
-            simulate_point(points[0]), cycles=123456789
+            simulate_point(points[0])[0], cycles=123456789
         )
         assert session.complete(0, doctored, wall_seconds=0.0)
         session.close(release=False)
 
         reader = ClaimSession(store, job_id="truth", worker_id="reader")
         try:
-            results = run_points(points, jobs=1, session=reader)
+            results = run_points(points, session=reader)
         finally:
             reader.close()
         assert results[0].cycles == 123456789
-        assert results[1] == simulate_point(points[1])
+        assert results[1] == simulate_point(points[1])[0]
         store.close()
 
 
@@ -489,7 +487,7 @@ class TestCancellation:
                                cancel_check=lambda: True)
         points = sample_points()
         with pytest.raises(SweepCancelled):
-            run_points(points, jobs=1, session=session)
+            run_points(points, session=session)
         rows = store.point_rows("job")
         assert rows and all(
             r["status"] == POINT_CANCELLED for r in rows
@@ -509,7 +507,7 @@ class TestReleaseWrites:
             return release_points(self, *args, **kwargs)
 
         monkeypatch.setattr(RunLedger, "release_points", spy)
-        run_points(sample_points(), jobs=1)
+        run_points(sample_points())
         assert releases == []
 
     def test_interrupted_job_releases_its_claim(self, tmp_path,
@@ -521,15 +519,15 @@ class TestReleaseWrites:
         simulate_point = parallel.simulate_point
         calls = []
 
-        def interrupting(point):
+        def interrupting(point, constants=None):
             calls.append(point)
             if len(calls) > 1:
                 raise KeyboardInterrupt
-            return simulate_point(point)
+            return simulate_point(point, constants)
 
         monkeypatch.setattr(parallel, "simulate_point", interrupting)
         with pytest.raises(KeyboardInterrupt):
-            run_points(sample_points(), jobs=1, session=session)
+            run_points(sample_points(), session=session)
         session.close()
         statuses = [(r["status"], r["worker"])
                     for r in store.point_rows("job")]
@@ -543,7 +541,7 @@ class TestWorkerCLI:
         db = str(tmp_path / "led.sqlite")
         points = sample_points(ledger_path=db)
         with ledger_to(db):
-            serial = run_points(sample_points(), jobs=1)
+            serial = run_points(sample_points())
             store = RunLedger(db)
             author = ClaimSession(store, job_id="cli-job")
             author.enqueue(points)
@@ -558,6 +556,44 @@ class TestWorkerCLI:
             store.close()
         err = capsys.readouterr().err
         assert "4 point(s) done, 0 failed" in err
+
+    def test_worker_simulates_each_machine_of_a_job_once(
+            self, tmp_path, monkeypatch):
+        """convert's S-O-D point runs the S-O machine and its M-D point
+        the M one.  The worker keeps one job's constants, so it drains
+        the job in two dispatches, as run_points does, with the same
+        results; a second job gets constants of its own."""
+        db = str(tmp_path / "led.sqlite")
+        points = [
+            SweepPoint(kernel="convert", config=config,
+                       params=MachineParams(), records=32, workload_seed=7)
+            for config in (MachineConfig.S_O(), MachineConfig.S_O_D(),
+                           MachineConfig.M(), MachineConfig.M_D())
+        ]
+        calls = spy_dispatch(monkeypatch)
+        serial = run_points(points)
+        assert len(calls) == 2
+        store = RunLedger(db)
+        author = ClaimSession(store, job_id="mates")
+        author.enqueue(points)
+        author.close()
+        del calls[:]
+        with ledger_to(db):
+            assert worker_main(["--ledger", db, "--exit-idle"]) == 0
+        assert calls == [("convert", "S-O"), ("convert", "M")]
+        rows = store.point_rows("mates", with_result=True)
+        reader = ClaimSession(store, job_id="mates")
+        assert [reader.payload_from_row(r) for r in rows] == serial
+        reader.close()
+        for job_id in ("first", "second"):
+            author = ClaimSession(store, job_id=job_id)
+            author.enqueue(points)
+            author.close()
+        del calls[:]
+        with ledger_to(db):
+            assert worker_main(["--ledger", db, "--exit-idle"]) == 0
+        assert len(calls) == 4
+        store.close()
 
     def test_worker_fails_rows_without_specs(self, tmp_path, capsys):
         db = str(tmp_path / "led.sqlite")

@@ -17,7 +17,6 @@ def service(tmp_path):
     queue = JobQueue(
         cache_dir=str(tmp_path / "cache"),
         ledger_path=str(tmp_path / "service_ledger.sqlite"),
-        jobs=1,
     )
     server, _thread = serve_in_thread(queue)
     client = ServiceClient(f"http://127.0.0.1:{server.port}", timeout=30.0)

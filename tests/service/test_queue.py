@@ -30,11 +30,12 @@ def wait_terminal(q, job_id, timeout=120.0):
 
 
 @pytest.fixture()
-def running_queue(tmp_path):
+def running_queue(tmp_path, request):
+    """A started queue; indirect parametrization sets its ``workers``."""
     q = JobQueue(
         cache_dir=str(tmp_path / "cache"),
         ledger_path=str(tmp_path / "service_ledger.sqlite"),
-        jobs=1,
+        workers=getattr(request, "param", 1),
     ).start()
     yield q
     q.shutdown(wait=True, timeout=10.0)
@@ -113,24 +114,45 @@ class TestCancellation:
         finally:
             parked_queue.shutdown(wait=True, timeout=10.0)
 
-    def test_cancel_mid_sweep_leaves_queue_alive(self, running_queue):
-        # Serial execution => chunk size 1, so the cancel event is
-        # checked before every point and the sweep stops promptly.
+    @pytest.mark.parametrize("running_queue", [1, 2], indirect=True,
+                             ids=["workers1", "workers2"])
+    def test_cancel_mid_sweep_leaves_queue_alive(self, running_queue,
+                                                 monkeypatch):
+        """A cancel after the first of 8 points lands stops the sweep
+        within a point: the cancel event is checked before every claim,
+        whatever the number of queue workers."""
+        landed, cancelled = threading.Event(), threading.Event()
+        complete = ClaimSession.complete
+
+        def first_lands_then_waits(session, *args, **kwargs):
+            won = complete(session, *args, **kwargs)
+            if not landed.is_set():
+                landed.set()
+                cancelled.wait(30.0)
+            return won
+
+        monkeypatch.setattr(ClaimSession, "complete",
+                            first_lands_then_waits)
         big = running_queue.submit(small_spec(
             kernels=["convert", "fft"],
             configs=["baseline", "S", "M", "S-O"],
             records=64,
         ))
-        deadline = time.monotonic() + 60.0
-        while (running_queue.get(big.job_id).state == JobState.QUEUED
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-        running_queue.cancel(big.job_id)
+        assert landed.wait(60.0)
+        assert running_queue.cancel(big.job_id) is True
+        cancelled.set()
         big = wait_terminal(running_queue, big.job_id)
         assert big.state == JobState.CANCELLED
+        assert big.points_total == 8
         assert big.finished_at is not None
         with pytest.raises(LookupError, match="cancelled"):
             running_queue.results(big.job_id)
+        store = RunLedger(running_queue.ledger_path)
+        try:
+            statuses = [row["status"] for row in store.point_rows(big.job_id)]
+        finally:
+            store.close()
+        assert statuses.count("done") == 1
 
         # the queue survives and serves the next job
         after = running_queue.submit(small_spec())
@@ -189,51 +211,13 @@ class TestCacheReplay:
 
 
 class TestCacheAccounting:
-    def test_concurrent_pool_jobs_count_only_their_own_points(
-        self, tmp_path, monkeypatch
-    ):
-        """Two jobs sweeping side by side through the pool path each
+    def test_concurrent_jobs_count_only_their_own_points(self, tmp_path):
+        """Two jobs sweeping side by side on two queue workers each
         report exactly their own points: one miss per point cold, one
         hit per point on resubmission — never a sibling's runs."""
-        from repro.perf import parallel as parallel_mod
-
-        mapped = []
-        one_at_a_time = threading.Lock()
-
-        class InThreadPool:
-            """The pool path without forking: two job threads would
-            otherwise fork workers while the sibling's threads hold
-            locks the children can inherit.  Points still run one at a
-            time, as they would in separate processes: the
-            process-global PHASES scope each dispatch opens is not
-            thread-safe."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                mapped.append(fn)
-                results = []
-                for item in items:
-                    with one_at_a_time:
-                        results.append(fn(item))
-                return results
-
-        # Single-CPU hosts clamp to one worker and never reach the
-        # pool; pin a multi-CPU view so both jobs dispatch through it.
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
-                            InThreadPool)
         q = JobQueue(
             cache_dir=str(tmp_path / "cache"),
             ledger_path=str(tmp_path / "service_ledger.sqlite"),
-            jobs=2,
             workers=2,
         ).start()
         # Disjoint point sets (different record counts), so neither
@@ -254,7 +238,6 @@ class TestCacheAccounting:
                         job.cache_counts
         finally:
             q.shutdown(wait=True, timeout=10.0)
-        assert len(mapped) == 4  # every job ran through the pool path
 
 
 class TestSiblingProgress:

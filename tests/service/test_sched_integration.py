@@ -91,7 +91,7 @@ class TestRestartAdoption:
         author.enqueue(points)
         assert author.claim(limit=1) == [0]
         doctored = dataclasses.replace(
-            simulate_point(points[0]), cycles=987654321
+            simulate_point(points[0])[0], cycles=987654321
         )
         assert author.complete(0, doctored, wall_seconds=0.0)
         author.close(release=False)
