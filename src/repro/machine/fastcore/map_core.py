@@ -15,13 +15,15 @@ rewrite as the engine cores:
   sources are classified once per kernel instead of once per instance
   per iteration, and ``node_of`` is assembled in one bulk
   ``dict(zip(...))`` at the end.
-* :func:`expand_window` builds one relative-uid instance *template* for
-  the whole window and clones it per iteration.  The consumer wiring,
-  priorities and operand counts of an iteration's uid block depend only
-  on the kernel and config — never on the placement — so a clone just
+* :func:`window_shape` builds one relative-uid instance *template* for
+  the whole window and clones it per iteration.  The consumer wiring
+  and priorities of an iteration's uid block depend only on the kernel
+  and the streaming mode — never on the placement — so a clone just
   rebases uids by the block offset, resolves nodes through the
   iteration's assignment, and advances regular-memory addresses by the
-  per-iteration stride.
+  per-iteration stride.  The routed columns it derives are shared by
+  every configuration of the same shape; :func:`expand_window` adds
+  one configuration's latencies, operand counts and constant reads.
 
 Both functions are pinned to the object implementations by the
 equivalence suite; ``repro.machine.placement`` / ``repro.machine.mapping``
@@ -201,35 +203,52 @@ def place_iterations_array(kernel, params, iterations: int):
     )
 
 
-def expand_window(kernel, config, params, U, record_offset, placement):
-    """Template-to-SoA twin of the ``mapping.map_window`` expansion.
+#: The ``WindowSoA`` columns a :class:`WindowShape` carries: the same
+#: objects in every window expanded from the shape.
+SHAPE_COLUMNS = (
+    "n", "nodes_of", "rows", "edges", "kinds", "iters", "kiids", "useful",
+    "depths", "cons", "hops_of", "lmw_words", "lmw_cons", "lmw_hops",
+    "ldi_info", "addr_at0", "addr_stride", "order", "rank_of",
+)
+
+
+class WindowShape:
+    """The configuration-independent half of one window's expansion.
+
+    Given the kernel, the params, the iteration count ``U`` and whether
+    regular memory streams through the SMC, the placement, the uid
+    blocks and every route are fixed; the other configuration flags
+    change only LUT latency and dispatch (the L0 store) and operand
+    counts and register-file constant reads (operand revitalization).
+    S, S-O and S-O-D of a kernel unroll to the same ``U``, so they share
+    one shape: its :class:`~repro.machine.placement.Placement`, the
+    per-block expansion template and the :data:`SHAPE_COLUMNS` of the
+    window's ``WindowSoA`` (held in ``soa``, whose other columns stay
+    unset).  Every window :func:`expand_window` builds from a shape
+    holds references to these objects, and nothing writes to them.
+    """
+
+    __slots__ = (
+        "placement", "block", "body_cons", "const_rows", "lmw_rows",
+        "load_rows", "store_rows", "soa",
+    )
+
+
+def window_shape(kernel, config, params, U, placement) -> WindowShape:
+    """Build the :class:`WindowShape` of ``U`` placed iterations.
 
     An iteration's uid block always has the same shape — body instances
     in kernel order, then regular-memory loads, then stores — and its
     consumer wiring is *positional* (store and dataflow consumer uids
-    are block-relative offsets fixed by the kernel), so everything but
-    nodes, rows and addresses is computed once.  The window is emitted
-    *lazy*: the per-block template goes straight into the engine's
-    structure-of-arrays buffers (:func:`_attach_soa` — per-uid columns
-    are U-fold tiles of template columns plus numpy gathers over the
-    placement matrix) and is retained as a
-    :class:`~repro.machine.mapping._LazyExpansion` payload, so
-    :class:`~repro.machine.mapping.Instance` objects only ever exist if
-    something touches ``window.instances`` — the object-core engines or
-    introspection — in which case the deferred clone loop produces the
-    identical instance stream (same uids, consumer order, addresses,
-    priorities) as the eager object expansion.
+    are block-relative offsets fixed by the kernel), so the template is
+    computed once, and the shape columns are U-fold tiles of template
+    columns plus numpy gathers over the placement matrix.  ``config``
+    contributes only ``smc_stream``.
     """
-    from ..mapping import (
-        MappedWindow, _LazyExpansion, _expansion_plan,
-    )
+    from ..mapping import _expansion_plan
 
-    (body_plan, top_priority, table_bases, space_bases,
+    (body_plan, top_priority, _table_bases, _space_bases,
      chunk_words) = _expansion_plan(kernel, config, params)
-    from ..mapping import _OUTPUT_REGION, _RECORD_REGION
-
-    record_base = _RECORD_REGION + record_offset * kernel.record_in
-    out_base = _OUTPUT_REGION + record_offset * kernel.record_out
     record_in = kernel.record_in
     smc = config.smc_stream
     B = len(body_plan)
@@ -238,12 +257,11 @@ def expand_window(kernel, config, params, U, record_offset, placement):
     block = B + n_loads + len(kernel.outputs)
 
     # ---- one template for all iterations --------------------------------
-    # Body rows hold everything but the node (resolved through the
-    # iteration's assignment); load and store rows carry the body
-    # position their node resolves through, and *relative* addresses
-    # (record word index / output slot) so the same template serves both
-    # the offset-0 SoA address columns and deferred materialization at
-    # whatever offset the window sits at by then.
+    # Load and store rows carry the body position their node resolves
+    # through, and *relative* addresses (record word index / output
+    # slot) so the same template serves both the offset-0 SoA address
+    # columns and deferred materialization at whatever offset the
+    # window sits at by then.
     body_cons: List[List[int]] = [[] for _ in range(B)]
     in_consumers: List[List[int]] = [[] for _ in range(record_in)]
     const_consumers: Dict[int, List[int]] = {}
@@ -280,81 +298,43 @@ def expand_window(kernel, config, params, U, record_offset, placement):
         cpos = pos_of[iid]
         for producer in producers:
             body_cons[pos_of[producer]].append(cpos)
-    body_rows = [
-        (kind, latency, body_cons[pos], operands, useful, words, address,
-         depth, iid)
-        for pos, (iid, kind, latency, address, words, useful, depth,
-                  _producers, _rec_srcs, _const_slots, operands)
-        in enumerate(body_plan)
-    ]
-    if config.operand_revitalize:
-        cr_rows = []
-    else:
-        cr_rows = sorted(const_consumers.items())
 
-    # ---- lazy window: SoA now, Instance objects only on demand ----------
-    window = MappedWindow(
-        kernel=kernel,
-        config=config,
-        params=params,
-        iterations=U,
-        instances=None,
-        const_reads=None,
-        placement=placement,
-        machine_instructions=U * (block + len(cr_rows)),
-        table_bases=table_bases,
-        space_bases=space_bases,
-        record_base=record_base,
-        out_base=out_base,
-        record_offset=record_offset,
-    )
-    window._lazy = _LazyExpansion(
-        body_rows=body_rows,
-        lmw_rows=lmw_rows,
-        load_rows=load_rows,
-        store_rows=store_rows,
-        cr_rows=cr_rows,
-        block=block,
-        top_priority=top_priority,
-    )
-    _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
-                cr_rows, block, top_priority)
-    return window
+    shape = WindowShape()
+    shape.placement = placement
+    shape.block = block
+    shape.body_cons = body_cons
+    shape.const_rows = sorted(const_consumers.items())
+    shape.lmw_rows = lmw_rows
+    shape.load_rows = load_rows
+    shape.store_rows = store_rows
+    shape.soa = _shape_soa(kernel, params, U, smc, body_plan, top_priority,
+                           shape)
+    return shape
 
 
-def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
-                cr_rows, block, top_priority):
-    """Emit the dataflow core's ``WindowSoA`` straight from the template.
+def _shape_soa(kernel, params, U, smc, body_plan, top_priority, shape):
+    """The :data:`SHAPE_COLUMNS` of every window of ``shape``.
 
     ``dataflow_core.build_soa`` flattens a finished window by walking
-    its ``U * block`` instances.  Every per-uid column it produces is
-    either a U-fold tile of a per-block template column or a numpy
-    gather over the placement matrix, so the template expansion can
-    attach the SoA directly and engine runs over the window never flatten
-    anything.  Field-for-field identical to ``build_soa(window)``.
-    LOAD/STORE addresses live in the SoA as offset-0 columns plus an
-    affine per-record stride (``addr_at0 + record_offset * stride``), so
-    rebasing the window costs nothing here; register-file constant
-    deliveries are precomputed as ``(consumer uid, arrival)`` pairs
-    (FIFO regfile-port grants are ``k // ports`` for same-cycle
-    requests).
+    its ``U * block`` instances; these columns come straight from the
+    template instead.  LOAD/STORE addresses live in the SoA as offset-0
+    columns plus an affine per-record stride (``addr_at0 +
+    record_offset * stride``), so rebasing a window costs nothing here.
     """
-    from ..mapping import (
-        LDI, LMW, LOAD, LUT, STORE, _OUTPUT_REGION, _RECORD_REGION,
-    )
+    from ..mapping import LDI, LMW, LOAD, STORE, _OUTPUT_REGION, \
+        _RECORD_REGION
     from .dataflow_core import (
         WindowSoA, _address_info, _route_tables, _wire_edges,
     )
 
-    params = window.params
-    config = window.config
-    kernel = window.kernel
-    U = window.iterations
-    node_rows = window.placement.node_rows
-    home_rows = window.placement.home_row
-    smc = config.smc_stream
+    node_rows = shape.placement.node_rows
+    home_rows = shape.placement.home_row
+    lmw_rows = shape.lmw_rows
+    load_rows = shape.load_rows
+    store_rows = shape.store_rows
+    block = shape.block
     cols = params.cols
-    B = len(body_rows)
+    B = len(body_plan)
     n_lmw = len(lmw_rows)
     n_stores = len(store_rows)
     n = U * block
@@ -362,33 +342,23 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     # ---- per-block template columns (uids are u-major blocks) -----------
     mem_kind = [LMW] * n_lmw if smc else [LOAD] * len(load_rows)
     n_mem = len(mem_kind)
-    tpl_kind = [row[0] for row in body_rows] + mem_kind + [STORE] * n_stores
-    tpl_lat = [row[1] for row in body_rows] + [1] * (n_mem + n_stores)
-    tpl_operands = ([row[3] for row in body_rows] + [0] * n_mem
-                    + [1] * n_stores)
-    tpl_useful = ([row[4] for row in body_rows]
+    tpl_kind = [row[1] for row in body_plan] + mem_kind + [STORE] * n_stores
+    tpl_useful = ([row[5] for row in body_plan]
                   + [False] * (n_mem + n_stores))
-    tpl_words = ([row[5] for row in body_rows]
+    tpl_words = ([row[4] for row in body_plan]
                  + ([r[0] for r in lmw_rows] if smc else [0] * n_mem)
                  + [0] * n_stores)
-    tpl_depth = ([row[7] for row in body_rows] + [top_priority] * n_mem
+    tpl_depth = ([row[6] for row in body_plan] + [top_priority] * n_mem
                  + [0] * n_stores)
-    tpl_kiid = [row[8] for row in body_rows] + [-1] * (n_mem + n_stores)
-    lut_code = 0 if config.l0_data else 3
-    code_of = {LUT: lut_code, LDI: 3, LMW: 2, LOAD: 4, STORE: 1}
-    tpl_code = [code_of.get(kind, 0) for kind in tpl_kind]
+    tpl_kiid = [row[0] for row in body_plan] + [-1] * (n_mem + n_stores)
 
     soa = WindowSoA()
     soa.n = n
     soa.kinds = tpl_kind * U
-    soa.latencies = tpl_lat * U
-    soa.operands = tpl_operands * U
     soa.useful = tpl_useful * U
     soa.lmw_words = tpl_words * U
     soa.depths = tpl_depth * U
     soa.kiids = tpl_kiid * U
-    soa.codes = tpl_code * U
-    soa.has_l1 = any(code >= 3 for code in tpl_code)
     u_idx = np.repeat(np.arange(U, dtype=np.int64), block)
     soa.iters = u_idx.tolist()
 
@@ -396,7 +366,7 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     # Static addresses (LUT table / LDI space bases) ride along with
     # stride 0, so ``addr_at0 + offset * stride`` is every instance's
     # ``address`` field at the window's current offset.
-    tpl_addr0 = ([row[6] for row in body_rows]
+    tpl_addr0 = ([row[3] for row in body_plan]
                  + ([0] * n_lmw if smc
                     else [_RECORD_REGION + r[0] for r in load_rows])
                  + [_OUTPUT_REGION + slot for slot, _ppos in store_rows])
@@ -436,9 +406,9 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
     hops_table, delay_table = _route_tables(params)
     tpl_flat: List[int] = []
     tpl_counts: List[int] = []
-    for row in body_rows:
-        tpl_flat.extend(row[2])
-        tpl_counts.append(len(row[2]))
+    for cons in shape.body_cons:
+        tpl_flat.extend(cons)
+        tpl_counts.append(len(cons))
     if smc:
         tpl_counts.extend([0] * n_lmw)
     else:
@@ -458,7 +428,7 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
         nodes_flat, counts, flat_cuids, n, hops_table, delay_table
     )
 
-    # ---- LMW word consumers, LUT/LDI address columns, ready set ---------
+    # ---- LMW word consumers, LDI address column --------------------------
     lmw_cons = soa.lmw_cons = [None] * n
     lmw_hops = soa.lmw_hops = [0] * n
     if smc and n_lmw:
@@ -481,26 +451,137 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
                 lmw_cons[uid] = tuple(words)
                 lmw_hops[uid] = total
 
-    lut_rows = []  # (uid, base address, table size, iteration, kernel iid)
-    ldi_rows = []  # (uid, base address, space size, iteration, kernel iid)
+    # (uid, base address, space size, iteration, kernel iid), uid-major
+    # like build_soa's scan.
+    ldi_rels = [
+        (rel, row[3], max(1, row[4]), row[0])
+        for rel, row in enumerate(body_plan) if row[1] == LDI
+    ]
+    soa.ldi_info = _address_info([
+        (u * block + rel, address, size, u, iid)
+        for u in range(U) for rel, address, size, iid in ldi_rels
+    ])
+
+    depth_full = np.tile(np.asarray(tpl_depth, dtype=np.int64), U)
+    order_arr = np.lexsort((np.arange(n), depth_full))
+    soa.order = order_arr.tolist()
+    rank_arr = np.empty(n, dtype=np.int64)
+    rank_arr[order_arr] = np.arange(n)
+    soa.rank_of = rank_arr.tolist()
+    return soa
+
+
+def expand_window(kernel, config, params, U, record_offset, shape):
+    """Template-to-SoA twin of the ``mapping.map_window`` expansion.
+
+    ``shape`` (:func:`window_shape`) holds the placement, the per-block
+    template and the routed columns; this adds what the configuration
+    changes and emits the window *lazy*: the engine's
+    structure-of-arrays buffers (:func:`_attach_soa`) are the shape's
+    columns plus this configuration's, and the template is retained as
+    a :class:`~repro.machine.mapping._LazyExpansion` payload, so
+    :class:`~repro.machine.mapping.Instance` objects only ever exist if
+    something touches ``window.instances`` — the object-core engines or
+    introspection — in which case the deferred clone loop produces the
+    identical instance stream (same uids, consumer order, addresses,
+    priorities) as the eager object expansion.
+    """
+    from ..mapping import (
+        MappedWindow, _LazyExpansion, _OUTPUT_REGION, _RECORD_REGION,
+        _expansion_plan,
+    )
+
+    (body_plan, top_priority, table_bases, space_bases,
+     _chunk_words) = _expansion_plan(kernel, config, params)
+    body_cons = shape.body_cons
+    body_rows = [
+        (kind, latency, body_cons[pos], operands, useful, words, address,
+         depth, iid)
+        for pos, (iid, kind, latency, address, words, useful, depth,
+                  _producers, _rec_srcs, _const_slots, operands)
+        in enumerate(body_plan)
+    ]
+    cr_rows = [] if config.operand_revitalize else shape.const_rows
+
+    # ---- lazy window: SoA now, Instance objects only on demand ----------
+    window = MappedWindow(
+        kernel=kernel,
+        config=config,
+        params=params,
+        iterations=U,
+        instances=None,
+        const_reads=None,
+        placement=shape.placement,
+        machine_instructions=U * (shape.block + len(cr_rows)),
+        table_bases=table_bases,
+        space_bases=space_bases,
+        record_base=_RECORD_REGION + record_offset * kernel.record_in,
+        out_base=_OUTPUT_REGION + record_offset * kernel.record_out,
+        record_offset=record_offset,
+    )
+    window._lazy = _LazyExpansion(
+        body_rows=body_rows,
+        lmw_rows=shape.lmw_rows,
+        load_rows=shape.load_rows,
+        store_rows=shape.store_rows,
+        cr_rows=cr_rows,
+        block=shape.block,
+        top_priority=top_priority,
+    )
+    _attach_soa(window, shape, body_rows, cr_rows)
+    return window
+
+
+def _attach_soa(window, shape, body_rows, cr_rows):
+    """Emit the dataflow core's ``WindowSoA`` for one configuration.
+
+    The :data:`SHAPE_COLUMNS` are the shape's own objects; the rest —
+    latencies, operand counts and the ready set, dispatch codes, the
+    LUT address stream and the register-file constant deliveries — are
+    built here, field-for-field what ``build_soa(window)`` derives from
+    the finished window.  Constant deliveries are precomputed as
+    ``(consumer uid, arrival)`` pairs (FIFO regfile-port grants are
+    ``k // ports`` for same-cycle requests).
+    """
+    from ..mapping import LDI, LMW, LOAD, LUT, STORE
+    from .dataflow_core import WindowSoA, _address_info
+
+    params = window.params
+    kernel = window.kernel
+    U = window.iterations
+    block = shape.block
+    shared = shape.soa
+    B = len(body_rows)
+    n_stores = len(shape.store_rows)
+    n_mem = block - B - n_stores
+
+    soa = WindowSoA()
+    for name in SHAPE_COLUMNS:
+        setattr(soa, name, getattr(shared, name))
+
+    # ---- per-block template columns, tiled U-fold -----------------------
+    tpl_lat = [row[1] for row in body_rows] + [1] * (n_mem + n_stores)
+    tpl_operands = ([row[3] for row in body_rows] + [0] * n_mem
+                    + [1] * n_stores)
+    lut_code = 0 if window.config.l0_data else 3
+    code_of = {LUT: lut_code, LDI: 3, LMW: 2, LOAD: 4, STORE: 1}
+    tpl_code = [code_of.get(kind, 0) for kind in shared.kinds[:block]]
+    soa.latencies = tpl_lat * U
+    soa.operands = tpl_operands * U
+    soa.codes = tpl_code * U
+    soa.has_l1 = any(code >= 3 for code in tpl_code)
+
+    # (uid, base address, table size, iteration, kernel iid), uid-major
+    # like build_soa's scan; L0-resident LUTs address nothing.
     lut_rels = [
         (rel, row[6], len(kernel.tables[kernel.body[row[8]].table]), row[8])
         for rel, row in enumerate(body_rows)
         if row[0] == LUT and lut_code == 3
     ]
-    ldi_rels = [
-        (rel, row[6], max(1, row[5]), row[8])
-        for rel, row in enumerate(body_rows) if row[0] == LDI
-    ]
-    if lut_rels or ldi_rels:
-        for u in range(U):  # uid-major, matching build_soa's scan order
-            base = u * block
-            for rel, address, size, iid in lut_rels:
-                lut_rows.append((base + rel, address, size, u, iid))
-            for rel, address, size, iid in ldi_rels:
-                ldi_rows.append((base + rel, address, size, u, iid))
-    soa.lut_info = _address_info(lut_rows)
-    soa.ldi_info = _address_info(ldi_rows)
+    soa.lut_info = _address_info([
+        (u * block + rel, address, size, u, iid)
+        for u in range(U) for rel, address, size, iid in lut_rels
+    ])
 
     rel0 = [rel for rel, left in enumerate(tpl_operands) if left == 0]
     if rel0:
@@ -540,13 +621,7 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
                     ))
     soa.const_deliveries = deliveries
 
-    depth_full = np.tile(np.asarray(tpl_depth, dtype=np.int64), U)
-    order_arr = np.lexsort((np.arange(n), depth_full))
-    soa.order = order_arr.tolist()
     window.issue_order = soa.order
-    rank_arr = np.empty(n, dtype=np.int64)
-    rank_arr[order_arr] = np.arange(n)
-    soa.rank_of = rank_arr.tolist()
     if METRICS.enabled:
         METRICS.inc("fastcore.soa_fused")
     window._fastcore_soa = soa

@@ -524,30 +524,55 @@ def _expansion_plan(kernel: Kernel, config: MachineConfig, params: MachineParams
     return plan
 
 
+def map_shape(
+    kernel: Kernel,
+    config: MachineConfig,
+    params: MachineParams,
+    iterations: int,
+) -> "map_core.WindowShape":
+    """Place ``iterations`` kernel iterations and route the window's
+    configuration-independent columns (array core).
+
+    Of ``config`` only ``smc_stream`` counts: the shape serves every
+    configuration with that streaming mode and iteration count, through
+    ``map_window(..., shape=...)``.
+    """
+    placement = place_iterations(kernel, params, iterations)
+    return map_core.window_shape(kernel, config, params, iterations,
+                                 placement)
+
+
 def map_window(
     kernel: Kernel,
     config: MachineConfig,
     params: MachineParams,
     iterations: Optional[int] = None,
     record_offset: int = 0,
+    shape: Optional["map_core.WindowShape"] = None,
 ) -> MappedWindow:
     """Expand and place one window of ``iterations`` kernel iterations.
 
     ``record_offset`` advances the regular-memory addresses so consecutive
     windows stream through memory (used to measure warm steady-state
-    windows on the cached paths).
+    windows on the cached paths).  Under the array core, ``shape`` is a
+    :func:`map_shape` of the same kernel, params, iteration count and
+    SMC streaming, placed once for all the configurations that share
+    it; without one the window is placed here.  The object core ignores
+    it and maps every window in full.
     """
     if config.local_pc:
         raise ValueError("MIMD configurations use repro.machine.mimd_engine")
     U = iterations if iterations is not None else window_iterations(kernel, config, params)
-    placement = place_iterations(kernel, params, U)
     if active_core() == "array":
         # Template-cloned expansion (repro.machine.fastcore.map_core):
         # same instances, built by cloning one per-distinct-placement
         # template instead of re-deriving every iteration.
+        if shape is None:
+            shape = map_shape(kernel, config, params, U)
         return map_core.expand_window(
-            kernel, config, params, U, record_offset, placement
+            kernel, config, params, U, record_offset, shape
         )
+    placement = place_iterations(kernel, params, U)
 
     instances: List[Instance] = []
     const_reads: List[ConstRead] = []

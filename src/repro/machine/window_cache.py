@@ -18,6 +18,17 @@ outlives the point that mapped it, and no thread ever sees another
 thread's window, so nothing here takes a lock: two threads that miss
 one key both simulate it and store equal memos.
 
+Beside the memos sits one *window shape*
+(:class:`~repro.machine.fastcore.map_core.WindowShape`): the last
+placement a miss made and the routed window columns that do not depend
+on the configuration.  S, S-O and S-O-D of a kernel unroll to the same
+``U`` and differ only in operand counts, the LUT path and register-file
+constant reads, so a miss right after another configuration of the same
+shape expands its window from the slot without placing it again.  The
+slot holds no mapped window, and the windows built from it only read
+it, so threads share it as they share the memos.  A shape reuse is not a
+hit: ``hits``, ``misses`` and ``len()`` count steady memos only.
+
 Keys are content fingerprints (:mod:`repro.perf.fingerprint`) plus the
 active engine core (``repro.machine.fastcore.active_core``), so a run
 under one core never replays a memo the other core measured and the
@@ -34,11 +45,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from ..check.sanitizer import SANITIZER
 from ..isa.kernel import Kernel
 from ..obs.metrics import METRICS
+from ..obs.trace import TRACE
 from .config import MachineConfig
 from .fastcore import active_core
-from .mapping import MappedWindow, map_window
+from .fastcore.map_core import WindowShape
+from .mapping import MappedWindow, map_shape, map_window
 from .params import MachineParams
 from .stats import WindowTiming
 
@@ -60,6 +74,9 @@ class MappedWindowCache:
     def __init__(self, maxsize: int = 64):
         self.maxsize = maxsize
         self._steady: "OrderedDict[Tuple, Steady]" = OrderedDict()
+        #: The last window shape a miss placed, under its shape key (see
+        #: :meth:`_shape_for`); one at a time.
+        self._shape: Optional[Tuple[Tuple, WindowShape]] = None
         self.hits = 0
         self.misses = 0
 
@@ -79,7 +96,8 @@ class MappedWindowCache:
         A hit returns the stored steady window and no mapped window.  A
         miss returns no memo and a fresh, private
         ``map_window(kernel, config, params, iterations, record_offset)``
-        for the caller to time and :meth:`store` under ``key``.
+        for the caller to time and :meth:`store` under ``key``, expanded
+        from the shape slot when it holds this window's shape.
         """
         # Imported lazily: repro.perf.fingerprint imports repro.machine,
         # so a module-level import here would close an import cycle.
@@ -112,8 +130,40 @@ class MappedWindowCache:
         window = map_window(
             kernel, config, params,
             iterations=iterations, record_offset=record_offset,
+            shape=self._shape_for(key, kernel, config, params, iterations),
         )
         return key, None, window
+
+    def _shape_for(
+        self,
+        key: Tuple,
+        kernel: Kernel,
+        config: MachineConfig,
+        params: MachineParams,
+        iterations: int,
+    ) -> Optional[WindowShape]:
+        """The array core's window shape for a miss under ``key``.
+
+        Reused from the slot when the last shape placed has this one's
+        kernel, params, iteration count, streaming mode and core; else
+        the slot is emptied *before* the new shape is placed, so the
+        cache never holds two.  None — map in full — under the object
+        core, and while TRACE, METRICS or SANITIZER observes, so
+        observers see every placement.
+        """
+        kernel_fp, _config_fp, params_fp, _iterations, core = key
+        if core != "array" or TRACE.enabled or METRICS.enabled \
+                or SANITIZER.enabled:
+            return None
+        shape_key = (kernel_fp, params_fp, iterations, config.smc_stream,
+                     core)
+        slot = self._shape
+        if slot is not None and slot[0] == shape_key:
+            return slot[1]
+        self._shape = None
+        shape = map_shape(kernel, config, params, iterations)
+        self._shape = (shape_key, shape)
+        return shape
 
     def store(self, key: Tuple, steady: Steady) -> None:
         """Keep ``steady`` under ``key``; evict the least recently used."""
@@ -126,6 +176,7 @@ class MappedWindowCache:
 
     def clear(self) -> None:
         self._steady.clear()
+        self._shape = None
         self.hits = 0
         self.misses = 0
 

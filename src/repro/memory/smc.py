@@ -50,10 +50,11 @@ class DmaDescriptor:
 class SmcBank:
     """One L2 bank operating in software-managed mode.
 
-    Functional state is a word array of ``capacity_kb``; timing state is a
-    single access port (the paper packs all regular accesses of a row into
-    a single bank) plus a DMA engine with its own word-per-cycle transfer
-    rate.
+    Functional state is a word array of ``capacity_kb``, allocated on the
+    first write (no timing path reads it, and a never-written word reads
+    0); timing state is a single access port (the paper packs all regular
+    accesses of a row into a single bank) plus a DMA engine with its own
+    word-per-cycle transfer rate.
     """
 
     def __init__(
@@ -64,7 +65,7 @@ class SmcBank:
     ):
         self.name = name
         self.capacity_words = capacity_kb * 1024 // WORD_BYTES
-        self._data: List[Number] = [0] * self.capacity_words
+        self._data: Optional[List[Number]] = None
         self.port = PortQueue(1, name=f"{name}.port")
         self.dma_rate = dma_words_per_cycle
         self.meter = ThroughputMeter(name=f"{name}.bw")
@@ -74,14 +75,18 @@ class SmcBank:
 
     def read(self, offset: int) -> Number:
         self._check(offset)
-        return self._data[offset]
+        return 0 if self._data is None else self._data[offset]
 
     def write(self, offset: int, value: Number) -> None:
         self._check(offset)
+        if self._data is None:
+            self._data = [0] * self.capacity_words
         self._data[offset] = value
 
     def read_block(self, offset: int, count: int) -> List[Number]:
         self._check(offset + count - 1)
+        if self._data is None:
+            return [0] * count
         return self._data[offset : offset + count]
 
     def _check(self, offset: int) -> None:

@@ -39,6 +39,7 @@ distributed experiment store can extend it compatibly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import getpass
 import json
 import os
@@ -910,8 +911,13 @@ class LedgerHandle:
         return run_id
 
 
+@functools.lru_cache(maxsize=None)
 def _safe_user() -> Optional[str]:
-    """The invoking user, or None where the lookup fails (containers)."""
+    """The invoking user, or None where the lookup fails (containers).
+
+    Resolved once per process, like :func:`current_git_sha`: every run
+    row carries it.
+    """
     try:
         return getpass.getuser()
     except (KeyError, OSError):

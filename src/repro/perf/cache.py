@@ -32,10 +32,53 @@ from .fingerprint import SCHEMA_VERSION
 
 
 def run_result_to_dict(result: RunResult) -> dict:
-    """JSON-serializable encoding of a RunResult (including its window)."""
-    doc = dataclasses.asdict(result)
-    doc["schema"] = SCHEMA_VERSION
-    return doc
+    """JSON-serializable encoding of a RunResult (including its window).
+
+    Field by field: ``dataclasses.asdict(result)`` plus ``schema``, with
+    the same containers, but without ``asdict``'s reflective deep copy,
+    which every DONE claim row and cache write would pay.  The detail
+    dicts and output records are copied, so the document shares nothing
+    mutable with ``result``.
+    """
+    window = result.window
+    return {
+        "kernel": result.kernel,
+        "config": result.config,
+        "records": result.records,
+        "cycles": result.cycles,
+        "useful_ops": result.useful_ops,
+        "window": None if window is None else {
+            "iterations": window.iterations,
+            "machine_instructions": window.machine_instructions,
+            "cycles": window.cycles,
+            "issue_done_cycle": window.issue_done_cycle,
+            "store_drain_cycle": window.store_drain_cycle,
+            "fetch_cycles": window.fetch_cycles,
+            "detail": dict(window.detail),
+        },
+        "setup_cycles": result.setup_cycles,
+        "detail": dict(result.detail),
+        "outputs": copy_outputs(result.outputs),
+        "schema": SCHEMA_VERSION,
+    }
+
+
+def copy_result(result: RunResult) -> RunResult:
+    """A copy of ``result`` that shares no mutable dict or list with it."""
+    window = result.window
+    return dataclasses.replace(
+        result,
+        window=None if window is None else dataclasses.replace(
+            window, detail=dict(window.detail)
+        ),
+        detail=dict(result.detail),
+        outputs=copy_outputs(result.outputs),
+    )
+
+
+def copy_outputs(outputs: Optional[list]) -> Optional[list]:
+    """Functional outputs (one list of numbers per record), copied."""
+    return None if outputs is None else [list(record) for record in outputs]
 
 
 def run_result_from_dict(doc: dict) -> RunResult:

@@ -30,7 +30,6 @@ any process are replayed from disk instead of re-simulated.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from contextlib import nullcontext
@@ -42,6 +41,7 @@ from ..machine.fastcore import active_core, using_core
 from ..machine.params import MachineParams
 from ..machine.stats import RunResult
 from ..obs.ledger import LEDGER, encode_params
+from .cache import copy_result
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class JobConstants:
         self.copied += 1
         started = time.perf_counter()
         _, name, result = held
-        result = copy.deepcopy(result)
+        result = copy_result(result)
         if result.config == name:
             # Backends that name their own machine keep that name.
             result.config = point.config.name

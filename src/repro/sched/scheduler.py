@@ -74,6 +74,68 @@ def _label(point) -> str:
     return point_label(point.backend, point.kernel, point.config.name)
 
 
+class LeaseHeartbeat:
+    """A daemon thread renewing one worker's claim leases.
+
+    Every ``lease_seconds / 3`` it pushes the worker's lease deadlines
+    forward (``RunLedger.renew_leases``), so points that run longer
+    than the lease are never reclaimed out from under a live worker,
+    while a dead worker's leases expire.  :class:`ClaimSession` runs one
+    from its first claim until it closes; ``repro-worker`` runs one
+    while it holds a claimed batch.
+    """
+
+    def __init__(
+        self,
+        store,
+        worker_id: str,
+        lease_seconds: float,
+        job_id: Optional[str] = None,
+    ):
+        self.store = store
+        self.worker_id = worker_id
+        self.lease_seconds = float(lease_seconds)
+        self.job_id = job_id
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        """Start beating (a no-op while already beating)."""
+        if self._thread is not None and self._thread.is_alive():
+            return
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._beat, name="repro-sched-heartbeat", daemon=True
+        )
+        self._thread.start()
+
+    def stop(self) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=2.0)
+
+    def _beat(self) -> None:
+        # The floor keeps a degenerate lease from spinning on the store.
+        interval = max(0.05, self.lease_seconds / 3.0)
+        while not self._stop.wait(interval):
+            try:
+                self.store.renew_leases(
+                    self.worker_id, self.lease_seconds, job_id=self.job_id,
+                )
+            except Exception:
+                # A failed heartbeat only risks an early reclaim of
+                # still-running points — double work, never wrong
+                # results; the guarded complete keeps one winner.
+                pass
+
+    def __enter__(self) -> "LeaseHeartbeat":
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+
 class ClaimSession:
     """One job's view of a claim store (see the module docstring)."""
 
@@ -98,8 +160,9 @@ class ClaimSession:
         self.constants = JobConstants()
         #: Seqs this session claimed and has not yet completed or failed.
         self._held: Set[int] = set()
-        self._hb_stop = threading.Event()
-        self._hb_thread: Optional[threading.Thread] = None
+        self._heartbeat = LeaseHeartbeat(
+            store, self.worker_id, self.lease_seconds, job_id=self.job_id
+        )
         self._closed = False
 
     # ---- enqueue ------------------------------------------------------------
@@ -160,7 +223,8 @@ class ClaimSession:
         seqs = [row["seq"] for row in rows]
         if seqs:
             self._held.update(seqs)
-            self._ensure_heartbeat()
+            if not self._closed:
+                self._heartbeat.start()
         return seqs
 
     def complete(
@@ -359,34 +423,6 @@ class ClaimSession:
             last_point,
         )
 
-    # ---- lease heartbeat ----------------------------------------------------
-
-    def _ensure_heartbeat(self) -> None:
-        if self._closed:
-            return
-        if self._hb_thread is not None and self._hb_thread.is_alive():
-            return
-        interval = max(0.5, self.lease_seconds / 3.0)
-
-        def beat() -> None:
-            while not self._hb_stop.wait(interval):
-                try:
-                    self.store.renew_leases(
-                        self.worker_id, self.lease_seconds,
-                        job_id=self.job_id,
-                    )
-                except Exception:
-                    # A failed heartbeat only risks an early reclaim of
-                    # still-running points — double work, never wrong
-                    # results; the guarded complete keeps one winner.
-                    pass
-
-        self._hb_stop.clear()
-        self._hb_thread = threading.Thread(
-            target=beat, name="repro-sched-heartbeat", daemon=True
-        )
-        self._hb_thread.start()
-
     def close(self, release: bool = True) -> None:
         """Stop the heartbeat, hand back claims, drop an owned store.
 
@@ -396,9 +432,7 @@ class ClaimSession:
         if self._closed:
             return
         self._closed = True
-        self._hb_stop.set()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=2.0)
+        self._heartbeat.stop()
         self.constants = JobConstants()
         try:
             if release and self._held:
@@ -444,6 +478,7 @@ def session_for_points(
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
     "ClaimSession",
+    "LeaseHeartbeat",
     "SweepCancelled",
     "default_worker_id",
     "session_for_points",

@@ -27,10 +27,17 @@ import sys
 import time
 from typing import List, Optional
 
-from ..obs.ledger import DEFAULT_LEDGER, LEDGER, RunLedger
+from ..obs.ledger import DEFAULT_LEDGER, LEDGER, RunLedger, ledger_to
 from ..perf.parallel import JobConstants, simulate_point
 from .codec import decode_point
-from .scheduler import DEFAULT_LEASE_SECONDS, default_worker_id
+from .scheduler import (
+    DEFAULT_LEASE_SECONDS,
+    LeaseHeartbeat,
+    default_worker_id,
+)
+
+#: What became of one claimed row (see :func:`_run_row`).
+DONE, FAILED, LOST = "done", "failed", "lost"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,22 +91,37 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point for ``repro-worker``; returns an exit code.
 
     0 when every claimed point completed, 1 when any row was marked
-    FAILED (the row's stored error has the details).
+    FAILED (the row's stored error has the details).  A point whose
+    row another worker reclaimed and finished first is *lost*, not
+    done.  The process-wide :data:`LEDGER` records into the worker's
+    ledger while it runs and is restored on return.
     """
     args = _build_parser().parse_args(argv)
     path = args.ledger
     if path is None:
         path = LEDGER.path if LEDGER.enabled else DEFAULT_LEDGER
     worker = args.worker_id or default_worker_id()
-    store = RunLedger(path)
     # The points' run rows land in this ledger, beside their claim rows.
-    if not LEDGER.enabled:
-        LEDGER.configure(path, mirror_env=False)
-    done = 0
-    failed = 0
+    with ledger_to(path):
+        outcomes = _drain(args, RunLedger(path), worker)
+    print(
+        f"repro-worker {worker}: {outcomes[DONE]} point(s) done, "
+        f"{outcomes[FAILED]} failed, {outcomes[LOST]} lost",
+        file=sys.stderr,
+    )
+    return 0 if outcomes[FAILED] == 0 else 1
+
+
+def _drain(args, store: RunLedger, worker: str) -> dict:
+    """Claim and run rows until idle (or interrupted); count outcomes.
+
+    Closes ``store``.
+    """
+    outcomes = {DONE: 0, FAILED: 0, LOST: 0}
     job_id, constants = None, None
     try:
         while True:
+            done = outcomes[DONE]
             if args.max_points is not None and done >= args.max_points:
                 break
             limit = max(1, args.chunk)
@@ -114,13 +136,12 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
                     break
                 time.sleep(max(0.05, args.poll))
                 continue
-            for row in rows:
-                if row["job_id"] != job_id:
-                    job_id, constants = row["job_id"], JobConstants()
-                if _run_row(store, worker, row, constants):
-                    done += 1
-                else:
-                    failed += 1
+            # Renew the batch's leases while its points run.
+            with LeaseHeartbeat(store, worker, args.lease):
+                for row in rows:
+                    if row["job_id"] != job_id:
+                        job_id, constants = row["job_id"], JobConstants()
+                    outcomes[_run_row(store, worker, row, constants)] += 1
     except KeyboardInterrupt:
         store.release_points(worker)
         print(
@@ -129,19 +150,16 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         )
     finally:
         store.close()
-    print(
-        f"repro-worker {worker}: {done} point(s) done, {failed} failed",
-        file=sys.stderr,
-    )
-    return 0 if failed == 0 else 1
+    return outcomes
 
 
 def _run_row(
     store: RunLedger, worker: str, row: dict, constants: JobConstants
-) -> bool:
+) -> str:
     """Run one claimed row with its job's constants; record DONE/FAILED.
 
-    True when DONE.
+    Returns :data:`DONE`, :data:`FAILED`, or :data:`LOST` when the
+    guarded complete finds the row no longer this worker's claim.
     """
     from ..perf.cache import run_result_to_dict
 
@@ -155,7 +173,7 @@ def _run_row(
             "point from (not enqueued through a ClaimSession?)",
         )
         print(f"fail {label}: no spec document", file=sys.stderr)
-        return False
+        return FAILED
     try:
         point = decode_point(
             json.loads(spec_doc), fingerprint=row.get("fingerprint")
@@ -166,13 +184,15 @@ def _run_row(
     except Exception as exc:
         store.fail_point(job_id, seq, worker, f"{type(exc).__name__}: {exc}")
         print(f"fail {label}: {exc}", file=sys.stderr)
-        return False
-    store.complete_point(
+        return FAILED
+    if not store.complete_point(
         job_id, seq, worker, result_doc=run_result_to_dict(result),
         wall_seconds=seconds, cache=verdict,
-    )
+    ):
+        print(f"lost {label}: reclaimed by another worker", file=sys.stderr)
+        return LOST
     print(f"done {label} ({seconds:.3f}s, {verdict})", file=sys.stderr)
-    return True
+    return DONE
 
 
 def main() -> None:

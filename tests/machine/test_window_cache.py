@@ -14,6 +14,7 @@ import threading
 import weakref
 from collections import OrderedDict
 
+import numpy
 import pytest
 
 from repro.check.sanitizer import checking
@@ -615,3 +616,303 @@ class TestNoWindowOutlivesItsPoint:
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None
         assert processor.window_cache.hits == 2
+
+
+def soa_mismatches(fused, rebuilt):
+    """Names of the ``WindowSoA`` columns on which two SoAs differ."""
+    from repro.machine.fastcore.dataflow_core import WindowSoA
+
+    bad = []
+    for name in WindowSoA.__slots__:
+        a, b = getattr(fused, name), getattr(rebuilt, name)
+        if name in ("lut_info", "ldi_info"):
+            # (uids, bases, sizes, iters, kiids): numpy columns.
+            same = (a is None) == (b is None) and (a is None or (
+                len(a) == len(b)
+                and all(numpy.array_equal(x, y) for x, y in zip(a, b))
+            ))
+        elif isinstance(a, numpy.ndarray):
+            same = numpy.array_equal(a, b)
+        else:
+            same = a == b
+        if not same:
+            bad.append(name)
+    return bad
+
+
+def reference_soa(kernel, config, params, iterations):
+    """``build_soa`` of a freshly mapped, materialized window."""
+    from repro.machine.fastcore.dataflow_core import build_soa
+
+    with using_core("object"):
+        fresh = map_window(kernel, config, params, iterations=iterations)
+    return build_soa(fresh)
+
+
+def placements(monkeypatch):
+    """Count ``place_iterations`` calls made through ``mapping``."""
+    from repro.machine import mapping
+
+    calls = []
+    place = mapping.place_iterations
+
+    def counting(kernel, params, iterations):
+        calls.append((kernel.name, iterations))
+        return place(kernel, params, iterations)
+
+    monkeypatch.setattr(mapping, "place_iterations", counting)
+    return calls
+
+
+#: The configuration orders the shape-sharing tests map through one
+#: cache: S-configurations in paper order, with baseline and M between
+#: them, and reversed.
+SHAPE_ORDERS = (
+    ("S", "S-O", "S-O-D"),
+    ("S", "baseline", "S-O", "M", "S-O-D"),
+    ("S-O-D", "S-O", "S"),
+)
+
+
+class TestWindowShapeSlot:
+    """S, S-O and S-O-D of a kernel share one placement and one set of
+    routed window columns through the cache's shape slot, read-only."""
+
+    def test_configurations_of_one_shape_place_once(self, monkeypatch):
+        kernel, params = spec("fft").kernel(), MachineParams()
+        cache = MappedWindowCache()
+        calls = placements(monkeypatch)
+        U = window_iterations(kernel, MachineConfig.S(), params)
+        windows = [
+            cache.get_or_map(kernel, named_config(name), params, U)[2]
+            for name in ("S", "S-O", "S-O-D")
+        ]
+        assert calls == [("fft", U)]
+        assert windows[0].placement is windows[2].placement
+        assert windows[0]._fastcore_soa.cons is windows[1]._fastcore_soa.cons
+        # A shape reuse is a miss like any other.
+        assert (cache.hits, cache.misses, len(cache)) == (0, 3, 0)
+
+    def test_other_shapes_replace_the_slot_first(self, monkeypatch):
+        """Another U, streaming mode or kernel places anew, and the old
+        shape is dropped before the new one is placed."""
+        from repro.machine import mapping
+
+        params = MachineParams()
+        cache = MappedWindowCache()
+        slots = []
+        place = mapping.place_iterations
+
+        def spying(kernel, params, iterations):
+            slots.append(cache._shape)
+            return place(kernel, params, iterations)
+
+        monkeypatch.setattr(mapping, "place_iterations", spying)
+        fft, lu = spec("fft").kernel(), spec("lu").kernel()
+        cache.get_or_map(fft, MachineConfig.S(), params, 8)
+        cache.get_or_map(fft, MachineConfig.S_O(), params, 4)
+        cache.get_or_map(fft, MachineConfig.baseline(), params, 4)
+        cache.get_or_map(lu, MachineConfig.baseline(), params, 4)
+        cache.get_or_map(lu, MachineConfig.baseline(), params, 4)
+        assert slots == [None] * 4
+
+    def test_clear_drops_the_slot(self, monkeypatch):
+        kernel, params = spec("fft").kernel(), MachineParams()
+        cache = MappedWindowCache()
+        calls = placements(monkeypatch)
+        cache.get_or_map(kernel, MachineConfig.S(), params, 8)
+        cache.clear()
+        assert cache._shape is None
+        cache.get_or_map(kernel, MachineConfig.S_O(), params, 8)
+        assert len(calls) == 2
+
+    def test_object_core_maps_every_window_in_full(self, monkeypatch):
+        kernel, params = spec("fft").kernel(), MachineParams()
+        cache = MappedWindowCache()
+        calls = placements(monkeypatch)
+        with using_core("object"):
+            for config in (MachineConfig.S(), MachineConfig.S_O()):
+                cache.get_or_map(kernel, config, params, 8)
+        assert len(calls) == 2 and cache._shape is None
+
+    @pytest.mark.parametrize("observe", ["trace", "metrics", "sanitizer"])
+    def test_observers_bypass_the_slot(self, observe, monkeypatch):
+        kernel, params = spec("fft").kernel(), MachineParams()
+        cache = MappedWindowCache()
+        cache.get_or_map(kernel, MachineConfig.S(), params, 8)
+        calls = placements(monkeypatch)
+        scope = {"trace": recording, "metrics": collecting,
+                 "sanitizer": checking}[observe]
+        with scope() as observer:
+            cache.get_or_map(kernel, MachineConfig.S_O(), params, 8)
+            if observe == "metrics":
+                assert observer.snapshot()["placement.windows_placed"] == 1
+        METRICS.reset()
+        TRACE.clear()
+        assert len(calls) == 1
+
+    def test_columns_split_between_shape_and_configuration(self):
+        """Every WindowSoA column is either shared by the shape or built
+        per configuration; the configuration's are exactly the ones its
+        flags can change."""
+        from repro.machine.fastcore.dataflow_core import WindowSoA
+        from repro.machine.fastcore.map_core import SHAPE_COLUMNS
+
+        per_config = set(WindowSoA.__slots__) - set(SHAPE_COLUMNS)
+        assert set(SHAPE_COLUMNS) <= set(WindowSoA.__slots__)
+        assert per_config == {
+            "latencies", "operands", "zero_uids", "codes", "has_l1",
+            "lut_info", "const_deliveries", "n_const_reads",
+        }
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    @pytest.mark.parametrize("name", [s.name for s in all_specs()])
+    def test_shared_shapes_match_fresh_windows(self, name, core,
+                                               monkeypatch):
+        """Through one cache, in every order: each window's SoA equals
+        ``build_soa`` of a fresh window — checked again once the whole
+        order has run, so a column one configuration's engines wrote
+        shows in another's — and each result equals a fresh cache's.
+        At 16 records several kernels' baseline and S windows have one
+        ``U``, so only the streaming mode tells their shapes apart."""
+        s = spec(name)
+        kernel, params = s.kernel(), MachineParams()
+        records = s.workload(16, 1)
+        support = GridProcessor(params)
+        fresh_results, fresh_soas = {}, {}
+        windows = []
+        init = MappedWindow.__init__
+
+        def keeping_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            windows.append(self)
+
+        monkeypatch.setattr(MappedWindow, "__init__", keeping_init)
+        for order in SHAPE_ORDERS:
+            shared = GridProcessor(params, window_cache=MappedWindowCache())
+            checked = []
+            for config_name in order:
+                config = named_config(config_name)
+                if not support.supports(kernel, config):
+                    continue
+                with using_core(core):
+                    if config_name not in fresh_results:
+                        fresh_results[config_name] = GridProcessor(
+                            params, window_cache=MappedWindowCache()
+                        ).run(kernel, records, config)
+                    del windows[:]
+                    result = shared.run(kernel, records, config)
+                assert result == fresh_results[config_name], \
+                    (order, config_name)
+                if config.local_pc or core != "array":
+                    continue
+                (window,) = windows
+                if config_name not in fresh_soas:
+                    fresh_soas[config_name] = reference_soa(
+                        kernel, config, params, window.iterations)
+                checked.append((config_name, window._fastcore_soa))
+                assert soa_mismatches(window._fastcore_soa,
+                                      fresh_soas[config_name]) == [], \
+                    (order, config_name)
+            for config_name, soa in checked:
+                assert soa_mismatches(soa, fresh_soas[config_name]) == [], \
+                    (order, config_name, "after the order ran")
+            if core == "array" and len(checked) > 1:
+                assert shared.window_cache._shape is not None
+
+
+class TestSharedShapeRace:
+    """Two threads mapping interleaved shapes through one cache."""
+
+    def test_shape_replaced_mid_expansion_serves_its_window(self,
+                                                           monkeypatch):
+        """Thread A's S-O miss takes fft's shape from the slot; before A
+        expands its window, thread B's lu miss empties the slot and
+        places lu's shape.  A's window still comes from the shape it
+        took, and both windows equal fresh ones."""
+        params = MachineParams()
+        fft, lu = spec("fft").kernel(), spec("lu").kernel()
+        cache = MappedWindowCache()
+        windows = {}
+        expand = window_cache_mod.map_window
+        main = threading.current_thread()
+
+        def run_b():
+            with using_core("array"):
+                windows["b"] = cache.get_or_map(lu, MachineConfig.S(),
+                                                params, 8)[2]
+
+        other = threading.Thread(target=run_b, daemon=True)
+
+        def racing_map_window(kernel, *args, **kwargs):
+            if threading.current_thread() is main:
+                other.start()
+                other.join(10.0)
+            return expand(kernel, *args, **kwargs)
+
+        with using_core("array"):
+            cache.get_or_map(fft, MachineConfig.S(), params, 8)
+            monkeypatch.setattr(window_cache_mod, "map_window",
+                                racing_map_window)
+            windows["a"] = cache.get_or_map(fft, MachineConfig.S_O(),
+                                            params, 8)[2]
+        assert not other.is_alive()
+        assert cache._shape[1].placement is windows["b"].placement
+        for name, kernel, config in (("a", fft, MachineConfig.S_O()),
+                                     ("b", lu, MachineConfig.S())):
+            window = windows[name]
+            assert soa_mismatches(
+                window._fastcore_soa,
+                reference_soa(kernel, config, params, 8),
+            ) == [], name
+            assert window.placement.iterations == 8
+
+    def test_threads_interleaving_shapes_match_serial_runs(self):
+        """A one-memo cache keeps evicting, so nearly every run misses
+        and maps through the shape slot while the other thread replaces
+        it; every result must equal its serial run."""
+        points = [("fft", "S"), ("dct", "S-O"), ("fft", "S-O"),
+                  ("dct", "S"), ("fft", "S-O-D"), ("dct", "baseline"),
+                  ("dct", "S-O-D"), ("fft", "baseline")]
+        inputs = {
+            (name, config): (spec(name).kernel(), spec(name).workload(64, 1),
+                             named_config(config))
+            for name, config in points
+        }
+        with using_core("array"):
+            serial = {
+                point: GridProcessor(window_cache=MappedWindowCache()).run(
+                    *inputs[point])
+                for point in points
+            }
+        shared = GridProcessor(window_cache=MappedWindowCache(maxsize=1))
+        results, errors = [], []
+
+        def worker(order):
+            try:
+                with using_core("array"):  # scopes this thread only
+                    for _ in range(3):
+                        for point in order:
+                            results.append(
+                                (point, shared.run(*inputs[point])))
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(order,),
+                                    daemon=True)
+                   for order in (points, points[::-1])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 2 * 3 * len(points)
+        for point, result in results:
+            assert result == serial[point], point
+        assert shared.window_cache.misses > len(points)

@@ -13,6 +13,29 @@ class TestSmcBank:
         assert bank.read(5) == 42
         assert bank.read_block(4, 3) == [0, 42, 0]
 
+    def test_word_array_allocated_on_first_write(self):
+        """Timing never touches the scratchpad, so a bank allocates it
+        only when written; until then every word reads 0."""
+        bank = SmcBank(capacity_kb=1)
+        assert bank._data is None
+        assert bank.read(127) == 0
+        assert bank.read_block(0, 128) == [0] * 128
+        with pytest.raises(IndexError):
+            bank.read_block(120, 9)
+        assert bank._data is None
+        bank.write(3, 5)
+        assert len(bank._data) == bank.capacity_words == 128
+        assert bank.read_block(2, 3) == [0, 5, 0]
+
+    def test_timing_leaves_the_word_array_unallocated(self):
+        from repro.memory import MemorySystem
+
+        memory = MemorySystem(4)
+        memory.configure_smc(True)
+        memory.smc_store(0, 5, 0)
+        memory.lmw_deliver_fast(0, 1, 4)
+        assert all(memory.smc_bank(row)._data is None for row in range(4))
+
     def test_bounds_checked(self):
         bank = SmcBank(capacity_kb=1)  # 128 words
         with pytest.raises(IndexError):

@@ -169,3 +169,83 @@ class TestSerializationDeterminism:
         stored = cache._path(key).read_text(encoding="utf-8")
         assert stored == json.dumps(run_result_to_dict(result),
                                     sort_keys=True)
+
+
+def backend_results():
+    """Results of every backend, with and without a window and outputs."""
+    from repro.backends import backend_names, get
+    from repro.machine.config import named_config
+
+    s = spec("fft")
+    kernel, records, params = s.kernel(), s.workload(8, 3), MachineParams()
+    results = []
+    for name in backend_names():
+        backend = get(name)
+        for config_name in ("baseline", "S-O-D", "M"):
+            config = named_config(config_name)
+            if not backend.supports(kernel, config, params):
+                continue
+            for functional in (False, True):
+                results.append(backend.run(kernel, records, config, params,
+                                           functional=functional))
+    assert {r.window is None for r in results} == {False, True}
+    assert {r.outputs is None for r in results} == {False, True}
+    return results
+
+
+def container_types(value):
+    """The value's nesting of container types, leaves as their type."""
+    if isinstance(value, dict):
+        return dict, {key: container_types(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [container_types(v) for v in value]
+    return type(value)
+
+
+class TestEncodingWithoutReflection:
+    """``run_result_to_dict`` and ``copy_result`` write each field out;
+    ``dataclasses.asdict`` and ``copy.deepcopy`` stay the references."""
+
+    def test_dict_is_asdict_plus_schema(self):
+        import dataclasses
+
+        from repro.perf.fingerprint import SCHEMA_VERSION
+
+        for result in backend_results():
+            reference = dataclasses.asdict(result)
+            reference["schema"] = SCHEMA_VERSION
+            doc = run_result_to_dict(result)
+            assert doc == reference, result
+            assert container_types(doc) == container_types(reference)
+            assert list(doc) == list(reference)
+            assert run_result_from_dict(doc) == result
+
+    def test_dict_shares_nothing_mutable_with_the_result(self):
+        for result in backend_results():
+            doc = run_result_to_dict(result)
+            assert doc["detail"] is not result.detail
+            if result.window is not None:
+                assert doc["window"]["detail"] is not result.window.detail
+            if result.outputs is not None:
+                assert doc["outputs"] is not result.outputs
+                assert all(a is not b for a, b in
+                           zip(doc["outputs"], result.outputs))
+
+    def test_copy_equals_deepcopy_and_shares_no_mutable_state(self):
+        import copy
+
+        from repro.perf.cache import copy_result
+
+        for result in backend_results():
+            duplicate = copy_result(result)
+            assert duplicate == copy.deepcopy(result) == result
+            assert duplicate.detail is not result.detail
+            if result.window is not None:
+                assert duplicate.window is not result.window
+                assert duplicate.window.detail is not result.window.detail
+            if result.outputs is not None:
+                assert duplicate.outputs is not result.outputs
+                assert all(a is not b for a, b in
+                           zip(duplicate.outputs, result.outputs))
+            duplicate.detail["poison"] = 1.0
+            assert "poison" not in result.detail

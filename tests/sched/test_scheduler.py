@@ -1,14 +1,17 @@
 """Scheduler end-to-end: sharding, crash resume, adoption, the worker CLI."""
 
 import dataclasses
+import os
 import sqlite3
 import threading
+import time
 
 import pytest
 
 from repro.machine import MachineConfig, MachineParams
 from repro.obs.ledger import (
     POINT_CANCELLED,
+    POINT_CLAIMED,
     POINT_DONE,
     POINT_PENDING,
     RunLedger,
@@ -594,6 +597,90 @@ class TestWorkerCLI:
             assert worker_main(["--ledger", db, "--exit-idle"]) == 0
         assert len(calls) == 4
         store.close()
+
+    def test_worker_renews_its_leases_while_a_point_runs(
+            self, tmp_path, monkeypatch):
+        """Worker A's point runs about three times its 0.3 s lease.
+        Its heartbeat keeps the row, so worker B, started once the lease
+        would have lapsed, claims nothing, and the row ends DONE after
+        one claim.  (``--max-points 1`` bounds each worker: without the
+        heartbeat the two would reclaim the row from each other.)"""
+        from repro.sched import workercli
+
+        db = str(tmp_path / "led.sqlite")
+        store = RunLedger(db)
+        author = ClaimSession(store, job_id="slow")
+        author.enqueue(sample_points(n=1))
+        author.close()
+        running = threading.Event()
+        simulate_point = workercli.simulate_point
+
+        def slow(point, constants=None):
+            running.set()
+            time.sleep(1.0)
+            return simulate_point(point, constants)
+
+        monkeypatch.setattr(workercli, "simulate_point", slow)
+        codes = {}
+
+        def run_a():
+            codes["a"] = worker_main(["--ledger", db, "--worker-id", "A",
+                                      "--lease", "0.3", "--exit-idle",
+                                      "--max-points", "1"])
+
+        worker_a = threading.Thread(target=run_a, daemon=True)
+        with ledger_to(db):
+            worker_a.start()
+            try:
+                assert running.wait(10.0)
+                time.sleep(0.5)  # past A's lease, had A not renewed it
+                codes["b"] = worker_main([
+                    "--ledger", db, "--worker-id", "B", "--lease", "0.3",
+                    "--poll", "0.05", "--exit-idle", "--max-points", "1",
+                ])
+            finally:
+                worker_a.join(10.0)
+        assert not worker_a.is_alive()
+        assert codes == {"a": 0, "b": 0}
+        (row,) = store.point_rows("slow")
+        assert (row["status"], row["worker"], row["claims"]) == \
+            (POINT_DONE, "A", 1)
+        store.close()
+
+    def test_a_row_reclaimed_before_it_completes_is_lost(self, tmp_path,
+                                                         capsys):
+        from repro.perf.parallel import JobConstants
+        from repro.sched import workercli
+
+        db = str(tmp_path / "led.sqlite")
+        store = RunLedger(db)
+        author = ClaimSession(store, job_id="lost")
+        author.enqueue(sample_points(n=1))
+        author.close()
+        now = time.time()
+        (row,) = store.claim_points("A", lease_seconds=1.0, now=now)
+        assert store.claim_points("B", lease_seconds=60.0, now=now + 2.0)
+        with ledger_to(db):
+            assert workercli._run_row(store, "A", row, JobConstants()) \
+                == workercli.LOST
+        assert "lost " in capsys.readouterr().err
+        (row,) = store.point_rows("lost")
+        assert (row["status"], row["worker"]) == (POINT_CLAIMED, "B")
+        store.close()
+
+    @pytest.mark.parametrize("before", [None, "other.sqlite"])
+    def test_worker_leaves_the_global_ledger_as_it_found_it(
+            self, tmp_path, before, monkeypatch):
+        from repro.obs.ledger import LEDGER, LEDGER_ENV
+
+        db = str(tmp_path / "led.sqlite")
+        monkeypatch.delenv(LEDGER_ENV, raising=False)
+        before = None if before is None else str(tmp_path / before)
+        with ledger_to(before):
+            state = (LEDGER.enabled, LEDGER.path, os.environ.get(LEDGER_ENV))
+            assert worker_main(["--ledger", db, "--exit-idle"]) == 0
+            assert (LEDGER.enabled, LEDGER.path,
+                    os.environ.get(LEDGER_ENV)) == state
 
     def test_worker_fails_rows_without_specs(self, tmp_path, capsys):
         db = str(tmp_path / "led.sqlite")
