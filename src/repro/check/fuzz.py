@@ -12,6 +12,12 @@ on ordinary fuzz workloads:
 * the array core vs the object loop of the dataflow engine over every
   block-style configuration (baseline, S, S-O, S-O-D), each mapping its
   own window with its own placement — timings, stats bit-identical;
+* the one-pass rule: for each block-style configuration whose window
+  cannot touch the L1, under each core, the warm pass alone at offset
+  ``U`` (``GridProcessor.steady_one_pass``) gives the steady window and
+  snapshot of the cold + rebase + warm procedure
+  (``GridProcessor.steady_two_pass``) — a check the cross-core stages
+  cannot make, since both cores take the same pass rule;
 * the array core vs the object loop of the MIMD record timing (M, M-D)
   where the kernel fits, plus MIMD functional output vs the oracle;
 * the grid's simulated-configuration rule: under each core, every
@@ -179,7 +185,7 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     from ..machine.config import MachineConfig
     from ..machine.dataflow_engine import DataflowEngine
     from ..machine.fastcore import using_core
-    from ..machine.mapping import map_window
+    from ..machine.mapping import map_window, touches_l1
     from ..machine.mimd_engine import MimdEngine
     from ..machine.processor import GridProcessor
     from ..memory.system import MemorySystem
@@ -228,6 +234,25 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
                 return fail(stage, "fast/reference engine stats diverge")
 
         processor = GridProcessor(params)
+        for config in block_configs:
+            if touches_l1(kernel, config):
+                continue
+            stage = f"one-pass:{config.name}"
+            for core in ("array", "object"):
+                try:
+                    with using_core(core):
+                        two = processor.steady_two_pass(map_window(
+                            kernel, config, params, iterations=iterations))
+                        one = processor.steady_one_pass(map_window(
+                            kernel, config, params, iterations=iterations,
+                            record_offset=iterations))
+                except Exception as exc:
+                    return fail(stage, f"{core} core: crash: {exc!r}")
+                if (one != two
+                        or list(one[1].items()) != list(two[1].items())):
+                    return fail(stage, f"{core} core: the one-pass steady "
+                                       "window differs from the two-pass one")
+
         for config in (MachineConfig.M(), MachineConfig.M_D()):
             if not processor.supports(kernel, config):
                 continue

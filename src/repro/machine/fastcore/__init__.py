@@ -9,20 +9,23 @@ path:
   per-uid numpy arrays with precomputed consumer routes and vectorized
   LUT/LDI address streams, cached on the mapped window (object loop:
   :meth:`repro.machine.dataflow_engine.DataflowEngine.run`);
-* :mod:`.mimd_core` — the MIMD per-record instruction loop compiled to
-  a sparse max-plus (tropical) affine plan per trip count, rebased at
-  every L1 round trip and evaluated per record in plain Python (object
-  loop: :meth:`repro.machine.mimd_engine.MimdEngine._run_record`);
+* :mod:`.mimd_core` — the MIMD run's whole record loop, each record's
+  instruction loop compiled to a sparse max-plus (tropical) affine plan
+  per trip count, rebased at every L1 round trip and evaluated in plain
+  Python, each row's stores drained in one call after the last record
+  (object loop: :meth:`repro.machine.mimd_engine.MimdEngine.run` over
+  :meth:`~repro.machine.mimd_engine.MimdEngine._run_record`);
 * :mod:`.map_core` — template-cloned window expansion and array-scored,
   memoized iteration placement (object loops:
   :func:`repro.machine.mapping.map_window`,
   :func:`repro.machine.placement.place_iterations`).
 
-Each public entry point branches once on :func:`active_core`: the
-``REPRO_ENGINE_CORE`` environment variable (``array`` | ``object``),
-overridable per process with :func:`set_engine_core` or scoped to a
-block of the calling thread with :func:`using_core`.  The default is
-``array``; ``object`` runs the
+Each public entry point branches once per call on :func:`active_core`
+(``DataflowEngine.run`` once per window pass, ``MimdEngine.run`` once
+per run, not per record): the ``REPRO_ENGINE_CORE`` environment
+variable (``array`` | ``object``), overridable per process with
+:func:`set_engine_core` or scoped to a block of the calling thread with
+:func:`using_core`.  The default is ``array``; ``object`` runs the
 specification loops, and ``tests/machine/test_fastcore_equivalence.py``
 pins the two to bit-exact equality.
 """

@@ -1,10 +1,14 @@
-"""Max-plus affine fast core for the MIMD per-record loop.
+"""Max-plus affine fast core for the MIMD record loop.
 
-For a fixed trip count, :meth:`MimdEngine._run_record`'s instruction
-loop is a chain of ``issue = max(pc, ready(operands)); pc = issue + 1``
-updates — a *max-plus (tropical) affine* function of the few values
-that vary per record.  This module compiles that function once per
-(engine, trip count) into an :class:`AffinePlan` over the basis
+:func:`run_records` is the whole record loop of a timing-only
+:meth:`MimdEngine.run`, which branches to it once per run; the object
+loop (``run``'s own loop over :meth:`MimdEngine._run_record`) stays
+the specification.  For a fixed trip count, ``_run_record``'s
+instruction loop is a chain of ``issue = max(pc, ready(operands));
+pc = issue + 1`` updates — a *max-plus (tropical) affine* function of
+the few values that vary per record.  This module compiles that
+function once per (engine, trip count) into an :class:`AffinePlan`
+over the basis
 
     x = [start, pc_after_chunks, word_ready[0], ..., word_ready[R-1],
          D_0, P_0, D_1, P_1, ...]
@@ -14,7 +18,9 @@ way from the start and merged by per-column max; a record evaluates a
 row as ``max(x[c] + v)`` over its terms, in plain Python, with the
 first term kept apart so that a one-term row is one add.  The chunk
 loads stay concrete (they reserve SMC ports / L1 banks statefully, and
-are the ``mimd_memory`` phase), as do the store-buffer pushes.
+are the ``mimd_memory`` phase), as do the store-buffer pushes, which go
+out in one call per row after the last record unless a trace or the
+sanitizer observes the run.
 
 **Staged L1 ops.**  Live instructions that take an L1 round trip
 mid-loop (LDI, and LUT without an L0 data store) are not affine — the
@@ -58,6 +64,7 @@ final pc.  Cycle times are Python ints, so evaluation is exact.
 
 from __future__ import annotations
 
+from ...check.sanitizer import SANITIZER
 from ...obs.trace import TRACE
 from ...perf.phases import PHASES, perf_counter
 
@@ -224,103 +231,165 @@ def build_plan(engine, trips):
     )
 
 
-def run_record(engine, node, start, record, record_index):
-    """Array-core replacement for one ``_run_record`` call.
+def run_records(engine, records, node_time):
+    """Array-core replacement for :meth:`MimdEngine.run`'s record loop.
 
-    Returns ``(next_free_cycle, None)`` exactly like the object loop.
-    The chunk-load phase below is the same stateful sequence of memory
-    calls the object loop makes, credited to the same ``mimd_memory``
+    Advances ``node_time`` (node -> cycle it is next free) over every
+    record and folds the run's counts into ``engine.stats``, exactly as
+    the object loop does; returns the run's useful operations.  Each
+    node's row and edge, the chunk word lists, the plan dict and, for a
+    static loop, its one plan and useful-op count are computed once per
+    run.  Each record's chunk loads are the same stateful sequence of
+    memory calls the object loop makes, credited to the ``mimd_memory``
     phase.
     """
     kernel = engine.kernel
-    trips = kernel.trip_count(record)
-    plans = engine.__dict__.setdefault("_fastcore_plans", {})
-    plan = plans.get(trips)
-    if plan is None:
-        plan = plans[trips] = build_plan(engine, trips)
-
     params = engine.params
     memory = engine.memory
-    row = node // params.cols
-    edge = params.route_to_row_edge(node)
+    nodes = engine.nodes
+    n_nodes = len(nodes)
+    where = [(node, node // params.cols, params.route_to_row_edge(node))
+             for node in nodes]
+    chunks = [(tuple(words), len(words)) for words in engine._chunks]
+    n_chunks = len(chunks)
+    record_in = kernel.record_in
+    record_out = kernel.record_out
+    width = 2 + record_in
+    plans = engine.__dict__.setdefault("_fastcore_plans", {})
 
-    # The basis: start, pc after the chunks, the words; each staged L1
-    # op appends its D_j and P_j.
-    x = [0] * (2 + kernel.record_in)
-    x[0] = start
+    def plan_for(trips):
+        plan = plans.get(trips)
+        if plan is None:
+            plan = plans[trips] = build_plan(engine, trips)
+        return plan
 
+    variable = kernel.loop.variable
+    trip_count = kernel.trip_count
+    useful_live = engine._useful_live
+    if variable:
+        useful = 0
+    else:
+        trips = kernel.loop.static_trips or 1
+        plan = plan_for(trips)
+        useful = useful_live(trips) * len(records)
+
+    tracing = TRACE.enabled
+    sanitize = SANITIZER.enabled
+    observed = tracing or sanitize
     phases = PHASES.enabled
-    mem_started = perf_counter() if phases else 0.0
-    pc_time = start
-    load_stalls = 0
+    # Rows have independent store buffers, and nothing in the run reads
+    # a drain time before ``row_store_drain_cycle`` at its end, so each
+    # row's pushes are collected in record order and sent in one call
+    # after the loop.  An observed run sends them per record, as the
+    # object loop does: one trace span per record, sanitizer reports in
+    # record order.
+    pending = [[] for _ in range(params.rows)]
     smc_stream = engine.config.smc_stream
-    l1_access_batch = memory.l1_access_batch
     lmw_deliver_fast = memory.lmw_deliver_fast
-    for words in engine._chunks:
-        request = pc_time + edge
-        if smc_stream:
-            deliveries = lmw_deliver_fast(
-                row, request, len(words), scattered=True
-            )
-        else:
-            # Non-streaming chunk loads go through the L1 as one batch
-            # (same per-word order, so identical grants and tag state).
-            base = (1 << 24) + record_index * kernel.record_in
-            deliveries = l1_access_batch([base + w for w in words], request)
-        chunk_ready = pc_time + 1
-        for w, ready in zip(words, deliveries):
-            back = ready + edge
-            x[2 + w] = back
-            if back > chunk_ready:
-                chunk_ready = back
-        load_stalls += chunk_ready - (pc_time + 1)
-        pc_time = chunk_ready
-    if phases:
-        PHASES.add("mimd_memory", perf_counter() - mem_started)
-    x[1] = pc_time
+    l1_access_batch = memory.l1_access_batch
+    smc_store_many = memory.smc_store_many
+    # Each staged L1 round trip is one fused call; a traced run takes
+    # the per-access path, which emits the L1 bank events.
+    l1_read = memory.l1_access if tracing else memory.l1.timed_read
+    memory_s = 0.0
+    executed = skipped = lut_trips = load_stalls = 0
+    for index, record in enumerate(records):
+        node, row, edge = where[index % n_nodes]
+        start = node_time[node]
+        if variable:
+            trips = trip_count(record)
+            plan = plan_for(trips)
+            useful += useful_live(trips)
 
-    if plan.l1_steps:
-        # Staged L1 round trips, charged to the engine phase like the
-        # object loop's: resolve each op's issue cycle from the basis
-        # filled so far, make the real access, and append D_j and P_j.
-        # Each access is one fused call; a traced run takes the
-        # per-access path, which emits the L1 bank events.
-        l1_read = memory.l1_access if TRACE.enabled else memory.l1.timed_read
-        append = x.append
-        for col, addend, rest, base, mult, add, mem_len in plan.l1_steps:
-            issue = x[col] + addend
-            for c, v in rest:
-                if x[c] + v > issue:
-                    issue = x[c] + v
-            address = base + (record_index * mult + add) % mem_len
-            done = l1_read(address, issue + edge) + edge
-            append(done)
-            append(done if done > issue + 1 else issue + 1)
-
-    vals = [
-        max(x[col] + addend, *[x[c] + v for c, v in rest]) if rest
-        else x[col] + addend
-        for col, addend, rest in plan.out_rows
-    ]
-    # Instruction-loop stalls telescope: sum(issue - pc) over the loop
-    # is the final pc minus the entry pc minus one step per instruction.
-    load_stalls += vals[0] - pc_time - plan.n_meta
-
-    out_base = (1 << 26) + record_index * kernel.record_out
-    if plan.slots:
-        pushes = [
-            (out_base + slot, vals[2 + k] + edge)
-            for k, slot in enumerate(plan.slots)
-        ]
+        # The basis: start, pc after the chunks, the words; each staged
+        # L1 op appends its D_j and P_j.
+        x = [0] * width
+        x[0] = start
         if phases:
             mem_started = perf_counter()
-        memory.smc_store_many(row, pushes)
+        pc_time = start
+        for words, n_words in chunks:
+            request = pc_time + edge
+            if smc_stream:
+                deliveries = lmw_deliver_fast(
+                    row, request, n_words, scattered=True
+                )
+            else:
+                # Non-streaming chunk loads go through the L1 as one
+                # batch (same per-word order, so identical grants and
+                # tag state).
+                base = (1 << 24) + index * record_in
+                deliveries = l1_access_batch([base + w for w in words],
+                                             request)
+            chunk_ready = pc_time + 1
+            for w, ready in zip(words, deliveries):
+                back = ready + edge
+                x[2 + w] = back
+                if back > chunk_ready:
+                    chunk_ready = back
+            pc_time = chunk_ready
         if phases:
-            PHASES.add("mimd_memory", perf_counter() - mem_started)
+            memory_s += perf_counter() - mem_started
+        x[1] = pc_time
 
+        if plan.l1_steps:
+            # Staged L1 round trips, charged to the engine phase like the
+            # object loop's: resolve each op's issue cycle from the basis
+            # filled so far, make the real access, and append D_j and P_j.
+            append = x.append
+            for col, addend, rest, base, mult, add, mem_len in plan.l1_steps:
+                issue = x[col] + addend
+                for c, v in rest:
+                    if x[c] + v > issue:
+                        issue = x[c] + v
+                address = base + (index * mult + add) % mem_len
+                done = l1_read(address, issue + edge) + edge
+                append(done)
+                append(done if done > issue + 1 else issue + 1)
+
+        vals = [
+            max(x[col] + addend, *[x[c] + v for c, v in rest]) if rest
+            else x[col] + addend
+            for col, addend, rest in plan.out_rows
+        ]
+        # Stalls telescope: each chunk load and each instruction stalls
+        # its pc advance less one cycle, so the record's total is the pc
+        # after the instruction loop less the start and one cycle per
+        # chunk and per instruction.
+        load_stalls += vals[0] - start - n_chunks - plan.n_meta
+        executed += plan.n_meta
+        skipped += plan.skipped
+        lut_trips += plan.lut_trips
+
+        if plan.slots:
+            out_base = (1 << 26) + index * record_out
+            pushes = [(out_base + slot, issue + edge)
+                      for slot, issue in zip(plan.slots, vals[2:])]
+            if not observed:
+                pending[row] += pushes
+            else:
+                if phases:
+                    mem_started = perf_counter()
+                smc_store_many(row, pushes)
+                if phases:
+                    memory_s += perf_counter() - mem_started
+
+        finish = vals[1] + plan.pc_extra
+        if observed:
+            engine._observe_record(node, index, start, finish)
+        node_time[node] = finish
+
+    if phases:
+        mem_started = perf_counter()
+    for row, pushes in enumerate(pending):
+        if pushes:
+            smc_store_many(row, pushes)
+    if phases:
+        PHASES.add("mimd_memory",
+                   memory_s + perf_counter() - mem_started)
     stats = engine.stats
     stats.load_stall_cycles += load_stalls
-    stats.instructions_executed += plan.n_meta
-    stats.instructions_skipped += plan.skipped
-    stats.lut_l1_trips += plan.lut_trips
-    return vals[1] + plan.pc_extra, None
+    stats.instructions_executed += executed
+    stats.instructions_skipped += skipped
+    stats.lut_l1_trips += lut_trips
+    return useful

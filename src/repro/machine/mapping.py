@@ -418,6 +418,24 @@ def overhead_per_iteration(kernel: Kernel, config: MachineConfig, params: Machin
     return n_loads + kernel.record_out
 
 
+def touches_l1(kernel: Kernel, config: MachineConfig) -> bool:
+    """Whether a block window of ``kernel`` under ``config`` may access
+    the L1.
+
+    The instance kinds decide it: without SMC streaming the record
+    words come in as L1 loads (``LOAD``; ``LMW`` with it), every
+    ``LDI`` takes the L1 path, and so does every ``LUT`` unless the L0
+    data store holds the tables.  Stores always leave through the store
+    buffer.  The answer equals the mapped window's ``WindowSoA.has_l1``
+    for every kernel with a record word, and is True, the conservative
+    side, for one without streaming or record words.
+    """
+    if not config.smc_stream:
+        return True
+    ops = {inst.op.name for inst in kernel.body}
+    return "LDI" in ops or ("LUT" in ops and not config.l0_data)
+
+
 def window_iterations(kernel: Kernel, config: MachineConfig, params: MachineParams) -> int:
     """How many iterations are concurrently resident for this config."""
     per_iter = len(kernel.body) + overhead_per_iteration(kernel, config, params)

@@ -221,16 +221,13 @@ class MimdEngine:
         """Execute one record on ``node`` starting at cycle ``start``.
 
         Returns ``(next_free_cycle, outputs)`` where outputs is None in
-        timing-only mode.  Timing-only runs under the array core evaluate
-        the record's max-plus plan (:mod:`repro.machine.fastcore.mimd_core`).
-        Functional runs, and every run under the object core, take the
-        loop below, which also computes output values: the executable
-        specification the plans must reproduce in cycle times, stats and
-        memory state (``tests/machine/test_fastcore_equivalence.py``).
+        timing-only mode.  Functional runs, and every run under the
+        object core, take this loop, which also computes output values:
+        the executable specification that the array core's max-plus
+        plans (:mod:`repro.machine.fastcore.mimd_core`) must reproduce
+        in cycle times, stats and memory state
+        (``tests/machine/test_fastcore_equivalence.py``).
         """
-        if not self.functional and active_core() == "array":
-            return mimd_core.run_record(self, node, start, record,
-                                        record_index)
         kernel = self.kernel
         params = self.params
         memory = self.memory
@@ -342,7 +339,7 @@ class MimdEngine:
         # Stores stream out through the row store buffer.  Its pushes are
         # order-preserving and their drain times are not consumed here,
         # so the record's stores flush in one batched call (one trace
-        # span per record, as under the array core).
+        # span per record, as under a traced array-core run).
         out_values: Optional[List[Number]] = None
         if self.functional:
             out_values = [0] * kernel.record_out
@@ -366,6 +363,25 @@ class MimdEngine:
                 kernel.loop.static_trips or 1
             )
         return pc_time, out_values
+
+    def _observe_record(
+        self, node: int, index: int, start: int, finish: int
+    ) -> None:
+        """Check and trace one finished record (observed runs only;
+        both record loops call it)."""
+        if SANITIZER.enabled and finish < start:
+            SANITIZER.report(
+                "mimd.monotone_pc_time",
+                f"{self.kernel.name}|{self.config.name}",
+                "a record finished before its node started it",
+                record=index, start=start, finish=finish,
+            )
+        if TRACE.enabled:
+            TRACE.complete(
+                EXEC, f"node {node}", f"record {index}",
+                ts=start, dur=max(1, finish - start),
+                args={"record": index},
+            )
 
     # ---- whole-run simulation ---------------------------------------------------
 
@@ -405,26 +421,22 @@ class MimdEngine:
 
         node_time = {node: setup for node in self.nodes}
         outputs: List[Optional[List[Number]]] = []
-        useful = 0
-        for index, record in enumerate(records):
-            node = self.nodes[index % len(self.nodes)]
-            start = node_time[node]
-            finish, out = self._run_record(node, start, record, index)
-            if sanitize and finish < start:
-                SANITIZER.report(
-                    "mimd.monotone_pc_time", component,
-                    "a record finished before its node started it",
-                    record=index, start=start, finish=finish,
-                )
-            node_time[node] = finish
-            if tracing:
-                TRACE.complete(
-                    EXEC, f"node {node}", f"record {index}",
-                    ts=start, dur=max(1, finish - start),
-                    args={"record": index},
-                )
-            outputs.append(out)
-            useful += self._useful_live(kernel.trip_count(record))
+        if not self.functional and active_core() == "array":
+            # Timing-only runs under the array core: the whole record
+            # loop, one max-plus plan evaluation per record.
+            useful = mimd_core.run_records(self, records, node_time)
+        else:
+            observed = tracing or sanitize
+            useful = 0
+            for index, record in enumerate(records):
+                node = self.nodes[index % len(self.nodes)]
+                start = node_time[node]
+                finish, out = self._run_record(node, start, record, index)
+                if observed:
+                    self._observe_record(node, index, start, finish)
+                node_time[node] = finish
+                outputs.append(out)
+                useful += self._useful_live(kernel.trip_count(record))
 
         drains = [
             self.memory.row_store_drain_cycle(r) for r in range(params.rows)

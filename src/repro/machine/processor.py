@@ -10,10 +10,13 @@ Measurement strategy (documented in DESIGN.md):
   of concurrently-resident iterations is simulated cycle by cycle, twice —
   the first pass warms the caches/tables, the second (with advanced
   record addresses, so streams stay cold but tables stay warm) is the
-  steady-state window.  The mapping fixes that schedule, not the data,
-  so each distinct window is simulated once per process and its steady
-  state reused; the mapped structure is freed after the warm pass.
-  The run is then windows composed in sequence:
+  steady-state window.  A window that cannot touch the L1 has nothing
+  for the first pass to warm, so it is simulated once, at the advanced
+  addresses, unless an observer (TRACE, METRICS, SANITIZER) is on.  The
+  mapping fixes that schedule, not the data, so each distinct window is
+  simulated once per process and its steady state reused; the mapped
+  structure is freed after the warm pass.  The run is then windows
+  composed in sequence:
 
   - baseline: consecutive hyperblock windows pipeline behind block fetch,
     so the steady interval is ``max(window cycles, fetch cycles)``;
@@ -49,7 +52,13 @@ from ..perf.phases import PHASES, perf_counter
 from .config import MachineConfig
 from .dataflow_engine import DataflowEngine
 from .l0store import L0DataStore
-from .mapping import map_window, rebase_window, window_iterations
+from .mapping import (
+    MappedWindow,
+    map_window,
+    rebase_window,
+    touches_l1,
+    window_iterations,
+)
 from .mimd_engine import MimdEngine, check_capacity
 from .params import MachineParams
 from .revitalize import RevitalizationController
@@ -259,32 +268,35 @@ class GridProcessor:
         config: MachineConfig,
         n_records: int,
     ) -> Tuple[WindowTiming, Dict[str, float]]:
-        """The warm second of two consecutive windows, and the memory
-        snapshot it leaves.
+        """The steady-state window, and the memory snapshot it leaves.
 
         Neither pass reads record values: the stream sets only ``U``, so
         both results are a pure function of the window-cache key
         (:class:`~repro.machine.window_cache.MappedWindowCache`).  A hit
         returns copies of the stored memo, building no window, memory
         system or engine.  A miss hands back a private mapped window,
-        timed here: a cold pass, then a *rebase* to offset ``U`` —
-        bit-identical to a second ``map_window``, per the equivalence
-        suite, and O(1) on the array core's lazy windows — and the warm
-        pass.  The memo is stored after the warm pass and the window
-        dies with this call.  While TRACE, METRICS or SANITIZER
-        observes, a hit maps its own window and runs both passes anyway,
-        so observers see every event and check.
+        timed here and freed with this call; the memo is stored after
+        the timing.  A window that may touch the L1
+        (:func:`~repro.machine.mapping.touches_l1`) is timed by
+        :meth:`steady_two_pass`, the executable specification; one that
+        cannot is mapped straight at record offset ``U`` and timed by
+        :meth:`steady_one_pass`, whose memo equals it.  While TRACE,
+        METRICS or SANITIZER observes, every window — a hit's too, mapped
+        afresh — runs both passes, so observers see every event and
+        check.
         """
         U = min(window_iterations(kernel, config, self.params),
                 max(1, n_records))
+        observed = TRACE.enabled or METRICS.enabled or SANITIZER.enabled
+        one_pass = not observed and not touches_l1(kernel, config)
         phases = PHASES.enabled
         place_before = PHASES.seconds.get("placement", 0.0) if phases else 0.0
         started = perf_counter() if phases else 0.0
         key, steady, window = self.window_cache.get_or_map(
-            kernel, config, self.params, U
+            kernel, config, self.params, U,
+            record_offset=U if one_pass else 0,
         )
-        if window is None and (TRACE.enabled or METRICS.enabled
-                               or SANITIZER.enabled):
+        if window is None and observed:
             window = map_window(kernel, config, self.params, iterations=U)
         if phases:
             # ``place_iterations`` credits its own time to "placement";
@@ -294,29 +306,83 @@ class GridProcessor:
             place_delta = PHASES.seconds.get("placement", 0.0) - place_before
             PHASES.add("window_map", elapsed - place_delta)
         if window is not None:
-            memory = self._fresh_memory(config)
-            started = perf_counter() if phases else 0.0
-            # The cold pass only warms caches/tables; suppress metrics
-            # and trace events so observers see the steady-state window
-            # once.
-            with observability_paused():
-                DataflowEngine(window, memory, seed=1).run()
-            if phases:
-                PHASES.add("block_engine", perf_counter() - started)
-                started = perf_counter()
-            memory.reset_timing()
-            rebase_window(window, U)
-            if phases:
-                PHASES.add("window_map", perf_counter() - started)
-                started = perf_counter()
-            timing = DataflowEngine(window, memory, seed=2).run()
-            if phases:
-                PHASES.add("block_engine", perf_counter() - started)
-            steady = (timing, memory.metrics_snapshot())
+            if one_pass:
+                steady = self.steady_one_pass(window)
+            else:
+                steady = self.steady_two_pass(window)
             self.window_cache.store(key, steady)
         # Copies: no two results share a mutable detail dict.
         timing, snapshot = steady
         return replace(timing, detail=dict(timing.detail)), dict(snapshot)
+
+    def steady_two_pass(
+        self, window: MappedWindow
+    ) -> Tuple[WindowTiming, Dict[str, float]]:
+        """Time ``window`` (mapped at offset 0) as two consecutive
+        windows: the warm second one, and the memory snapshot it leaves.
+
+        A cold pass warms the caches and tables; the window is then
+        *rebased* to offset ``U`` — bit-identical to a second
+        ``map_window``, per the equivalence suite, and O(1) on the array
+        core's lazy windows — so streams stay cold, and the warm pass is
+        the steady state.  This is the executable specification of every
+        steady window.
+        """
+        phases = PHASES.enabled
+        memory = self._fresh_memory(window.config)
+        started = perf_counter() if phases else 0.0
+        # The cold pass only warms caches/tables; suppress metrics and
+        # trace events so observers see the steady-state window once.
+        with observability_paused():
+            DataflowEngine(window, memory, seed=1).run()
+        if phases:
+            PHASES.add("block_engine", perf_counter() - started)
+            started = perf_counter()
+        memory.reset_timing()
+        rebase_window(window, window.iterations)
+        if phases:
+            PHASES.add("window_map", perf_counter() - started)
+            started = perf_counter()
+        timing = DataflowEngine(window, memory, seed=2).run()
+        if phases:
+            PHASES.add("block_engine", perf_counter() - started)
+        return timing, memory.metrics_snapshot()
+
+    def steady_one_pass(
+        self, window: MappedWindow
+    ) -> Tuple[WindowTiming, Dict[str, float]]:
+        """:meth:`steady_two_pass` for a window that cannot touch the
+        L1, from its warm pass alone; ``window`` must be mapped at record
+        offset ``U``.
+
+        Such a window's cold pass leaves nothing the warm pass reads:
+        ``MemorySystem.reset_timing`` clears every port, channel slot,
+        store buffer and SMC port it used, and what it keeps — the L1's
+        tags and counts, the SMC DMA meter and the channel meters — the
+        window never touches but for the channel meters.
+        """
+        if window.record_offset != window.iterations:
+            raise ValueError(
+                f"a one-pass window is mapped at record offset "
+                f"{window.iterations}, not {window.record_offset}"
+            )
+        phases = PHASES.enabled
+        memory = self._fresh_memory(window.config)
+        started = perf_counter() if phases else 0.0
+        timing = DataflowEngine(window, memory, seed=2).run()
+        if phases:
+            PHASES.add("block_engine", perf_counter() - started)
+        snapshot = memory.metrics_snapshot()
+        # The one counter the two passes add up: ``channel.words_delivered``
+        # survives ``reset_timing``, and a cold pass delivers exactly the
+        # warm pass's LMW words (words per LMW are static), so the memo
+        # counts them twice, as the two-pass timing does.  Every other key
+        # is the warm pass's own.  A counter that starts to survive
+        # ``reset_timing`` must be credited here too;
+        # ``tests/machine/test_window_cache.py`` compares this memo with
+        # the two-pass one key by key and catches it.
+        snapshot["channel.words_delivered"] *= 2
+        return timing, snapshot
 
     # ---- shared helpers --------------------------------------------------------------
 

@@ -12,8 +12,10 @@ kilobyte an entry, so a process simulates each block-style window once.
 It does not keep the mapped structure.  A miss maps a fresh, private
 window (:func:`~repro.machine.mapping.map_window`), which
 ``GridProcessor._steady_window`` times — cold pass,
-:func:`~repro.machine.mapping.rebase_window`, warm pass — before it
-stores the memo with :meth:`MappedWindowCache.store`.  No mapped window
+:func:`~repro.machine.mapping.rebase_window`, warm pass; or, for a
+window that cannot touch the L1, mapped at the warm pass's offset, the
+warm pass alone — before it stores the memo with
+:meth:`MappedWindowCache.store`.  No mapped window
 outlives the point that mapped it, and no thread ever sees another
 thread's window, so nothing here takes a lock: two threads that miss
 one key both simulate it and store equal memos.

@@ -50,6 +50,52 @@ class TestSimulatedConfigRule:
         assert failure.stage == "simulated-config:S-O-D"
 
 
+class TestOnePassRule:
+    def test_clean_case_checks_every_l1_free_configuration(self,
+                                                           monkeypatch):
+        """A table- and space-free case times S, S-O and S-O-D in one
+        pass under each core, next to the two-pass procedure."""
+        from repro.machine import GridProcessor
+
+        one_pass = GridProcessor.steady_one_pass
+        timed = []
+
+        def counting(self, window):
+            timed.append(window.config.name)
+            return one_pass(self, window)
+
+        case = case_from_seed(1)
+        assert not case.table_size and not case.space_size
+        monkeypatch.setattr(GridProcessor, "steady_one_pass", counting)
+        assert check_case(case) is None
+        assert sorted(timed) == ["S", "S", "S-O", "S-O", "S-O-D", "S-O-D"]
+
+    def test_widened_rule_detected_shrunk_and_saved(self, monkeypatch,
+                                                    tmp_path):
+        """A rule that also times windows with L1 accesses in one pass
+        changes their steady windows; the cross-core stages cannot see
+        it (both cores take the same rule), this stage does."""
+        from repro.machine import mapping
+
+        monkeypatch.setattr(mapping, "touches_l1",
+                            lambda kernel, config: False)
+        failures = run_fuzz(1, start_seed=5, corpus_dir=tmp_path)
+        assert failures, "a widened one-pass rule went undetected"
+        failure = failures[0]
+        assert failure.stage == "one-pass:baseline"
+        assert "differs from the two-pass one" in failure.detail
+        original = case_from_seed(5)
+        assert failure.case.size <= original.size
+        assert failure.case.records <= original.records
+        saved = sorted(tmp_path.glob("*.json"))
+        assert [path.name for path in saved] == [
+            f"case-{failure.case.seed}-one-pass-baseline.json"]
+        assert all(found is not None
+                   for _, found in replay_corpus(tmp_path))
+        monkeypatch.undo()
+        assert all(found is None for _, found in replay_corpus(tmp_path))
+
+
 class TestCaseRoundTrip:
     def test_to_from_dict_identity(self):
         case = case_from_seed(42)

@@ -1,9 +1,9 @@
 """Engine hot paths: the default array core vs the object loop.
 
-``DataflowEngine.run``, ``MimdEngine._run_record`` and
-``place_iterations`` each branch once, to the array core of
-``repro.machine.fastcore`` (the default) or to the object loop, which
-is kept as the executable specification and selected with
+``DataflowEngine.run``, ``MimdEngine.run`` (once per run, for its
+whole record loop) and ``place_iterations`` each branch once, to the
+array core of ``repro.machine.fastcore`` (the default) or to the object
+loop, which is kept as the executable specification and selected with
 ``using_core("object")``.  These tests pin the cycle-count-equivalence
 guard at those entry points: both paths must produce identical
 timings, stats, traces, placements and errors — any divergence is a

@@ -15,6 +15,7 @@ import threading
 import numpy
 import pytest
 
+from repro.backends import dispatch, get
 from repro.isa.random_kernels import RandomKernelConfig, random_kernel
 from repro.kernels import spec
 from repro.kernels.registry import all_specs
@@ -25,6 +26,8 @@ from repro.machine.fastcore import active_core, mimd_core, using_core
 from repro.machine.placement import place_iterations
 from repro.machine.window_cache import MappedWindowCache
 from repro.memory import MemorySystem
+from repro.obs import TRACE, recording
+from repro.obs.ledger import ledger_to
 
 CONFIGS = [MachineConfig.baseline(), MachineConfig.S(),
            MachineConfig.S_O(), MachineConfig.S_O_D()]
@@ -468,6 +471,88 @@ class TestMimdCoreEquivalence:
             dropped += len(row) - len(kept)
         assert dropped > 0
         assert 2 * gaps.count(0) >= len(gaps)
+
+
+#: The whole-run MIMD loop's configurations: M and M-D stream records
+#: through the SMC; local PCs without streaming, with and without the L0
+#: data store, load them through the L1.
+MIMD_RUN_CONFIGS = (
+    MachineConfig.M(), MachineConfig.M_D(),
+    MachineConfig(name="local-pc", local_pc=True),
+    MachineConfig(name="local-pc-D", local_pc=True, l0_data=True),
+)
+
+#: Every node, and a five-node partition across five rows.
+MIMD_PARTITIONS = (None, (0, 9, 18, 27, 63))
+
+
+def mimd_run(kernel, config, records, nodes, core):
+    """One MIMD run under ``core``: its result, stats, memory snapshot
+    and each row's store-drain cycle."""
+    params = MachineParams()
+    memory = MemorySystem(params.rows, params.memory_timings())
+    memory.configure_smc(config.smc_stream)
+    with using_core(core):
+        engine = MimdEngine(kernel, config, params, memory, nodes=nodes)
+        result = engine.run(records)
+    return (result, engine.stats, list(memory.metrics_snapshot().items()),
+            [memory.row_store_drain_cycle(row) for row in range(params.rows)])
+
+
+class TestMimdRunLoopEquivalence:
+    """The array core's whole-run record loop (``mimd_core.run_records``:
+    per-run constants, each row's stores sent in one call after the
+    last record) vs ``MimdEngine.run``'s object loop, unobserved."""
+
+    @pytest.mark.parametrize("name", [s.name for s in all_specs()])
+    def test_whole_run_loop_matches_object_loop(self, name):
+        s = spec(name)
+        kernel = s.kernel()
+        for config in MIMD_RUN_CONFIGS:
+            if not GridProcessor().supports(kernel, config):
+                continue
+            for n in (1, 7, 64, 200):
+                records = s.workload(n, 3)
+                for nodes in MIMD_PARTITIONS:
+                    assert (mimd_run(kernel, config, records, nodes, "array")
+                            == mimd_run(kernel, config, records, nodes,
+                                        "object")), (config.name, n, nodes)
+
+    def test_matrix_has_448_cases(self):
+        capable = sum(
+            GridProcessor().supports(s.kernel(), config)
+            for s in all_specs() for config in MIMD_RUN_CONFIGS
+        )
+        assert capable * 4 * len(MIMD_PARTITIONS) == 448
+
+    def test_traced_run_sends_stores_per_record(self):
+        """A traced run still pushes each record's stores in one call of
+        its own: one store-drain span per record, as the object loop."""
+        s = spec("md5")
+        records = s.workload(24, 5)
+        spans = {}
+        for core in ("array", "object"):
+            with recording() as rec:
+                mimd_run(s.kernel(), MachineConfig.M(), records, None, core)
+            spans[core] = [
+                (e["ts"], e["dur"], e["args"]) for e in rec.events
+                if e["name"] == "store drain"
+            ]
+            TRACE.clear()
+        assert spans["array"] == spans["object"]
+        assert len(spans["array"]) == len(records)
+        assert all(args["stores"] == s.kernel().record_out
+                   for _ts, _dur, args in spans["array"])
+
+    def test_ledgered_point_keeps_its_mimd_memory_phase(self, tmp_path):
+        s = spec("md5")
+        with ledger_to(tmp_path / "ledger.sqlite") as handle:
+            dispatch(get("grid"), s.kernel(), s.workload(64, 1),
+                     MachineConfig.M(), MachineParams())
+            row = handle.ledger.rows()[0]
+        assert row["engine_core"] == "array"
+        assert row["phases"]["mimd_memory"] > 0
+        assert row["phases"]["mimd_engine"] > 0
 
 
 class TestProcessorEquivalence:

@@ -18,6 +18,7 @@ import numpy
 import pytest
 
 from repro.check.sanitizer import checking
+from repro.isa.random_kernels import RandomKernelConfig, random_kernel
 from repro.kernels import all_specs, spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
     TABLE5_CONFIGS, map_window
@@ -25,7 +26,8 @@ from repro.machine import processor as processor_mod
 from repro.machine import window_cache as window_cache_mod
 from repro.machine.config import named_config
 from repro.machine.fastcore import using_core
-from repro.machine.mapping import MappedWindow, window_iterations
+from repro.machine.mapping import MappedWindow, touches_l1, \
+    window_iterations
 from repro.machine.stats import WindowTiming
 from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
 from repro.memory.system import MemorySystem
@@ -315,6 +317,155 @@ class TestSteadyWindowPremise:
                     config_name
 
 
+def rebases(monkeypatch):
+    """Count the processor's ``rebase_window`` calls (a list of
+    offsets)."""
+    offsets = []
+    rebase = processor_mod.rebase_window
+
+    def counting_rebase(window, record_offset):
+        offsets.append(record_offset)
+        return rebase(window, record_offset)
+
+    monkeypatch.setattr(processor_mod, "rebase_window", counting_rebase)
+    return offsets
+
+
+def block_points():
+    """Every registry (kernel, block configuration) pair the machine
+    supports."""
+    params = MachineParams()
+    points = []
+    for s in all_specs():
+        kernel = s.kernel()
+        for config_name in BLOCK_CONFIGS:
+            config = named_config(config_name)
+            if GridProcessor(params).supports(kernel, config):
+                points.append((s.name, kernel, config))
+    return points
+
+
+def two_pass_memo(processor, kernel, config, U):
+    """The executable specification: cold pass, rebase, warm pass."""
+    window = map_window(kernel, config, processor.params, iterations=U)
+    return processor.steady_two_pass(window)
+
+
+def one_pass_memo(processor, kernel, config, U):
+    """The warm pass alone, on a window mapped at offset ``U``."""
+    window = map_window(kernel, config, processor.params, iterations=U,
+                        record_offset=U)
+    return processor.steady_one_pass(window)
+
+
+def ldi_kernel():
+    """A random kernel whose body reads an irregular space (an LDI)."""
+    kernel = random_kernel(5, RandomKernelConfig(
+        size=24, record_in=3, record_out=2, space_size=32))
+    assert any(inst.op.name == "LDI" for inst in kernel.body)
+    return kernel
+
+
+class TestOnePassPremise:
+    """The one-pass rule's premise: a window that cannot touch the L1
+    has a cold pass that leaves nothing its warm pass reads, and the
+    only counter the two passes add up is ``channel.words_delivered``."""
+
+    def test_predicate_matches_mapped_windows(self):
+        params = MachineParams()
+        points = block_points()
+        with using_core("array"):
+            for name, kernel, config in points:
+                window = map_window(
+                    kernel, config, params,
+                    iterations=window_iterations(kernel, config, params),
+                )
+                assert touches_l1(kernel, config) \
+                    == window._fastcore_soa.has_l1, (name, config.name)
+        assert len(points) == 56
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    def test_one_pass_memo_equals_two_passes(self, core):
+        """Every L1-free registry window, at stream lengths 1, 7, 64,
+        200 and 512 (lengths that share a ``U`` share a memo key, so
+        each ``U`` is timed once)."""
+        params = MachineParams()
+        checked = 0
+        with using_core(core):
+            for name, kernel, config in block_points():
+                if touches_l1(kernel, config):
+                    continue
+                full = window_iterations(kernel, config, params)
+                for U in sorted({min(full, n) for n in (1, 7, 64, 200, 512)}):
+                    processor = GridProcessor(
+                        params, window_cache=MappedWindowCache())
+                    memo = processor._steady_window(kernel, config, U)
+                    reference = two_pass_memo(processor, kernel, config, U)
+                    point = (name, config.name, U)
+                    assert memo[0] == reference[0], point
+                    # Key by key and in order: a cache document
+                    # serializes the snapshot as it stands.
+                    assert list(memo[1].items()) \
+                        == list(reference[1].items()), point
+                    assert memo[1]["channel.words_delivered"] > 0, point
+                    checked += 1
+        assert checked >= 27
+
+    @pytest.mark.parametrize("kind", ["load", "lut", "ldi"])
+    def test_one_pass_differs_for_windows_that_touch_the_l1(self, kind):
+        """Widening the rule to any L1 kind changes the memo."""
+        if kind == "load":
+            kernel, config = spec("convert").kernel(), MachineConfig.baseline()
+        elif kind == "lut":
+            kernel, config = spec("blowfish").kernel(), MachineConfig.S()
+        else:
+            kernel, config = ldi_kernel(), MachineConfig.S()
+        assert touches_l1(kernel, config)
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        U = min(8, window_iterations(kernel, config, processor.params))
+        one = one_pass_memo(processor, kernel, config, U)
+        two = two_pass_memo(processor, kernel, config, U)
+        assert one != two
+        assert one[1]["l1.accesses"] < two[1]["l1.accesses"]
+
+    def test_one_pass_window_is_mapped_at_its_warm_offset(self):
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        kernel, config = spec("convert").kernel(), MachineConfig.S_O()
+        window = map_window(kernel, config, processor.params, iterations=4)
+        with pytest.raises(ValueError, match="record offset 4"):
+            processor.steady_one_pass(window)
+
+    def test_miss_runs_one_pass_and_no_rebase(self, monkeypatch):
+        seeds, offsets = engine_runs(monkeypatch), rebases(monkeypatch)
+        s = spec("convert")
+        processor = GridProcessor(window_cache=MappedWindowCache())
+        processor.run(s.kernel(), s.workload(64, 1), MachineConfig.S_O())
+        assert (seeds, offsets) == ([2], [])
+        processor.run(s.kernel(), s.workload(64, 1), MachineConfig.baseline())
+        U = window_iterations(s.kernel(), MachineConfig.baseline(),
+                              processor.params)
+        assert (seeds, offsets) == ([2, 1, 2], [U])
+
+    @pytest.mark.parametrize("observer", ["trace", "metrics", "sanitizer"])
+    def test_observed_miss_runs_both_passes(self, observer, monkeypatch):
+        seeds, offsets = engine_runs(monkeypatch), rebases(monkeypatch)
+        s = spec("convert")
+        point = (s.kernel(), s.workload(64, 1), MachineConfig.S_O())
+        reference = GridProcessor(window_cache=MappedWindowCache()).run(
+            *point)
+        seeds.clear()
+        observe = {"trace": recording, "metrics": collecting,
+                   "sanitizer": checking}[observer]
+        with observe():
+            result = GridProcessor(window_cache=MappedWindowCache()).run(
+                *point)
+        TRACE.clear()
+        METRICS.reset()
+        U = result.window.iterations
+        assert (seeds, offsets) == ([1, 2], [U])
+        assert result == reference
+
+
 #: A slice of mixed service-style traffic: each kernel under every
 #: configuration (MIMD included), two seeds, two stream lengths.
 MIXED_KERNELS = ("convert", "fft", "fragment-simple", "md5")
@@ -347,10 +498,10 @@ class TestSteadyWindowMemo:
         processor = GridProcessor(window_cache=MappedWindowCache())
         first = processor.run(s.kernel(), s.workload(64, 1),
                               MachineConfig.S_O_D())
-        assert seeds == [1, 2]
+        assert seeds == [2]  # no L1 access: the warm pass alone
         second = processor.run(s.kernel(), s.workload(64, 2),
                                MachineConfig.S_O_D())
-        assert seeds == [1, 2]
+        assert seeds == [2]
         assert second.window == first.window
         assert second.detail == first.detail
 
@@ -398,10 +549,10 @@ class TestSteadyWindowMemo:
         processor.run(kernel, records, MachineConfig.S())
         cache.clear()
         processor.run(kernel, records, MachineConfig.S())
-        assert len(seeds) == 4
+        assert seeds == [2, 2]  # one pass per miss: no L1 access
         processor.run(kernel, records, MachineConfig.S_O())  # evicts S
         processor.run(kernel, records, MachineConfig.S())
-        assert len(seeds) == 8
+        assert seeds == [2, 2, 2, 2]
 
     def test_memo_hit_records_its_window_map_phase(self):
         from repro.perf.phases import measuring
